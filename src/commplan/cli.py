@@ -209,8 +209,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("reproduce", help="recompute a recorded table and compare")
     rep.add_argument("--table", required=True, help="table id (T1..T13) or 'all'")
-    rep.add_argument("--episodes", type=int, default=1000)
-    rep.add_argument("--seed", type=int, default=0)
+    rep.add_argument(
+        "--episodes",
+        type=int,
+        default=1000,
+        help="Monte-Carlo episodes per strategy for the meeting tables T8-T13; "
+        "T1-T3 and T5-T7 are computed without simulation and ignore it",
+    )
+    rep.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="Monte-Carlo seed for the meeting tables T8-T13; "
+        "T1-T3 and T5-T7 are computed without simulation and ignore it",
+    )
     rep.add_argument("--out", help="write the comparison report here")
     rep.set_defaults(func=cmd_reproduce)
     return parser

@@ -12,14 +12,23 @@ improvements.
 Windows propagate each agent independently (transition independence), so the
 k-step window reduces to per-agent propagator matrices plus accumulated
 action-cost vectors, and the candidate scores for a whole state layer come
-out of a few dense matrix products.
+out of a few dense matrix products: M1 @ W is formed once per agent-1
+candidate and shared by every agent-2 candidate it is paired with.
+
+The assignment table is three int arrays indexed [t, s1, s2]: the positions
+of the two agents' policies in their candidate lists, and the window length.
+Improvements are installed with boolean masks, and evaluation groups each
+time step's cells by a packed (k, g1, g2) code.  GoalAssignment objects are
+made only on request (LgoMechanism.assignment_at and the read-only
+LgoMechanism.assignment view).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,18 +79,75 @@ class GoalAssignment:
         return hash(self.key)
 
 
-@dataclass
+@dataclass(eq=False)
 class LgoMechanism:
-    """Assignment table (s1, s2, t) -> GoalAssignment plus its value table."""
+    """A goal-assignment mechanism: its assignment table and value table.
 
-    assignment: Dict[Tuple[int, int, int], GoalAssignment]
+    The table is held as three int arrays of shape (T, n1, n2), indexed
+    [t, s1, s2]: g1 and g2 are positions in candidates1 and candidates2, and
+    k is the window length.  assignment_at builds one GoalAssignment per
+    distinct (g1, g2, k) and hands the same object out again; `assignment` is
+    a read-only Mapping view (s1, s2, t) -> GoalAssignment over all T*n1*n2
+    cells, in (t, s1, s2) order.
+
+    sweep_candidate_counts and candidates_considered are nominal: every
+    (k, t) layer, (T-1)*T*n1*n2*|G1|*|G2| per sweep.  candidates_scored
+    counts the candidate-state scores the sweeps actually computed, on the
+    layers whose window fits the horizon (t + k <= T).
+    """
+
+    candidates1: List[LocalGoalPolicy]
+    candidates2: List[LocalGoalPolicy]
+    g1: np.ndarray
+    g2: np.ndarray
+    k: np.ndarray
     value: np.ndarray
     sweeps: int = 0
     candidates_considered: int = 0
     sweep_candidate_counts: List[int] = field(default_factory=list)
+    candidates_scored: int = 0
+    _made: Dict[Tuple[int, int, int], GoalAssignment] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def assignment_at(self, s1: int, s2: int, t: int) -> GoalAssignment:
-        return self.assignment[(s1, s2, t)]
+        T, n1, n2 = self.k.shape
+        if not (0 <= t < T and 0 <= s1 < n1 and 0 <= s2 < n2):
+            raise KeyError((s1, s2, t))
+        code = (self.g1.item(t, s1, s2), self.g2.item(t, s1, s2), self.k.item(t, s1, s2))
+        asg = self._made.get(code)
+        if asg is None:
+            asg = GoalAssignment(self.candidates1[code[0]], self.candidates2[code[1]], code[2])
+            self._made[code] = asg
+        return asg
+
+    @property
+    def assignment(self) -> Mapping[Tuple[int, int, int], GoalAssignment]:
+        return _AssignmentView(self)
+
+
+class _AssignmentView(Mapping):
+    """Read-only (s1, s2, t) -> GoalAssignment view of an LgoMechanism."""
+
+    def __init__(self, mech: LgoMechanism):
+        self._mech = mech
+
+    def __getitem__(self, key) -> GoalAssignment:
+        try:
+            s1, s2, t = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return self._mech.assignment_at(s1, s2, t)
+
+    def __iter__(self) -> Iterator[Tuple[int, int, int]]:
+        T, n1, n2 = self._mech.k.shape
+        for t in range(T):
+            for s1 in range(n1):
+                for s2 in range(n2):
+                    yield (s1, s2, t)
+
+    def __len__(self) -> int:
+        return self._mech.k.size
 
 
 def solve_local_mdp(
@@ -271,72 +337,167 @@ def _phi_matrix(m: DecMdpCom) -> np.ndarray:
     return phi
 
 
-def _f_matrix(
+def _forward_value(
     m: DecMdpCom,
-    cache: _WindowCache,
     g1: LocalGoalPolicy,
     g2: LocalGoalPolicy,
+    s1: int,
+    s2: int,
     t: int,
     k: int,
-    V_next: np.ndarray,
+    V: np.ndarray,
+) -> float:
+    """Value at t of assigning (g1, g2, k) in (s1, s2), by forward propagation."""
+    total = 0.0
+    for (q1, q2), (mu, rho) in _window_forward(
+        m, g1, g2, FactoredState(s1, s2), t, k
+    ).items():
+        total += rho + mu * (m.comm_cost + V[t + k, q1, q2])
+    return total
+
+
+def _layer_scores(
+    m: DecMdpCom,
+    cache: _WindowCache,
+    cand1: Sequence[LocalGoalPolicy],
+    cand2: Sequence[LocalGoalPolicy],
+    t: int,
+    k: int,
+    V: np.ndarray,
+    phi: np.ndarray,
+    rows,
+):
+    """Score candidate pairs on the (k, t) layer.
+
+    rows is a sequence of (i1, [(i2, cells), ...]): positions in cand1 and
+    cand2, and the flat state indices that need a score (None for all).
+    Yields (i1, i2, cells, F) in that order, F[s1, s2] being the value at t of
+    assigning (cand1[i1], cand2[i2], k) in (s1, s2) with V[t + k] beyond the
+    window.  Only V[t + k] is read, so the caller may update V[t] between
+    yields.
+
+    Without an extra reward every state is scored at once.  Expected action
+    costs accumulate per agent; the state-based reward telescopes through the
+    potential, leaving end-of-window potential minus the starting one; the
+    exchange cost lands once; the future value enters through the joint
+    k-step propagator, M1 @ W @ M2.T, whose left product is shared by every
+    g2 paired with one g1.  With an extra reward only the requested cells
+    are scored, each by forward propagation.
+    """
+    if m.extra_reward is None:
+        W = phi + V[t + k]
+        for i1, row in rows:
+            M1, c1 = cache.pieces(1, cand1[i1], t, k)
+            A = M1 @ W
+            for i2, cells in row:
+                M2, c2 = cache.pieces(2, cand2[i2], t, k)
+                yield i1, i2, cells, c1[:, None] + c2[None, :] - phi + m.comm_cost + A @ M2.T
+        return
+    n1, n2 = m.agent1.n_states, m.agent2.n_states
+    for i1, row in rows:
+        for i2, cells in row:
+            F = np.empty((n1, n2))
+            for c in range(n1 * n2) if cells is None else cells:
+                s1, s2 = divmod(int(c), n2)
+                F[s1, s2] = _forward_value(m, cand1[i1], cand2[i2], s1, s2, t, k, V)
+            yield i1, i2, cells, F
+
+
+def _evaluate_table(
+    m: DecMdpCom,
+    cache: _WindowCache,
+    cand1: Sequence[LocalGoalPolicy],
+    cand2: Sequence[LocalGoalPolicy],
+    g1: np.ndarray,
+    g2: np.ndarray,
+    k: np.ndarray,
     phi: np.ndarray,
 ) -> np.ndarray:
-    """Candidate value of assigning (g1, g2, k) at time t, for every state.
+    """Value table of an array assignment table; V[horizon] = 0.
 
-    Expected action costs accumulate per agent; the state-based reward
-    telescopes through the potential, leaving end-of-window potential minus
-    the starting one; the exchange cost lands once; the future value enters
-    through the joint k-step propagator."""
-    M1, c1 = cache.pieces(1, g1, t, k)
-    M2, c2 = cache.pieces(2, g2, t, k)
-    W = phi + V_next
-    return c1[:, None] + c2[None, :] - phi + m.comm_cost + M1 @ W @ M2.T
-
-
-def _evaluate_assignment_table(
-    table: Dict[Tuple[int, int, int], GoalAssignment],
-    m: DecMdpCom,
-    cache: Optional[_WindowCache] = None,
-) -> np.ndarray:
+    Each t groups its cells by the packed code (k, g1, g2) and scores every
+    group once, layer by layer, so one M1 @ W is alive at a time."""
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
+    nc1, nc2 = len(cand1), len(cand2)
     V = np.zeros((T + 1, n1, n2))
-    fast = m.extra_reward is None
-    phi = _phi_matrix(m) if fast else None
-    cache = cache or _WindowCache(m)
     for t in range(T - 1, -1, -1):
-        groups: Dict[tuple, list] = {}
-        for s1 in range(n1):
-            for s2 in range(n2):
-                asg = table[(s1, s2, t)]
-                if t + asg.k > m.horizon:
-                    raise ValueError(
-                        f"assignment at ({s1}, {s2}, {t}) has window {asg.k} "
-                        f"running past the horizon {m.horizon}"
-                    )
-                groups.setdefault(asg.key, [asg, [], []])
-                groups[asg.key][1].append(s1)
-                groups[asg.key][2].append(s2)
-        for asg, idx1, idx2 in groups.values():
-            if fast:
-                F = _f_matrix(m, cache, asg.g1, asg.g2, t, asg.k, V[t + asg.k], phi)
-                V[t, idx1, idx2] = F[idx1, idx2]
-            else:
-                for s1, s2 in zip(idx1, idx2):
-                    cells = _window_forward(
-                        m, asg.g1, asg.g2, FactoredState(s1, s2), t, asg.k
-                    )
-                    total = 0.0
-                    for (q1, q2), (mu, rho) in cells.items():
-                        total += rho + mu * (m.comm_cost + V[t + asg.k, q1, q2])
-                    V[t, s1, s2] = total
+        over = t + k[t] > T
+        if over.any():
+            s1, s2 = (int(i) for i in np.argwhere(over)[0])
+            raise ValueError(
+                f"assignment at ({s1}, {s2}, {t}) has window {int(k[t, s1, s2])} "
+                f"running past the horizon {T}"
+            )
+        code = ((k[t] * nc1 + g1[t]) * nc2 + g2[t]).ravel()
+        codes, counts = np.unique(code, return_counts=True)
+        cells = np.split(np.argsort(code, kind="stable"), np.cumsum(counts)[:-1])
+        layers: Dict[int, Dict[int, list]] = {}
+        for c, idx in zip(codes.tolist(), cells):
+            kk, rest = divmod(c, nc1 * nc2)
+            i1, i2 = divmod(rest, nc2)
+            layers.setdefault(kk, {}).setdefault(i1, []).append((i2, idx))
+        Vt = V[t].reshape(-1)
+        for kk, rows in layers.items():
+            for _, _, idx, F in _layer_scores(
+                m, cache, cand1, cand2, t, kk, V, phi, rows.items()
+            ):
+                Vt[idx] = F.reshape(-1)[idx]
     return V
 
 
+def _by_label(pols: Sequence[LocalGoalPolicy], agent: int) -> Dict[str, LocalGoalPolicy]:
+    """The agent's policies keyed by label, first seen first.
+
+    Window propagators are cached by label, so two policies that share a
+    label but act differently would silently share propagators; that is
+    rejected.  Copies that act identically are harmless and collapse."""
+    out: Dict[str, LocalGoalPolicy] = {}
+    seen = set()
+    for pol in pols:
+        if id(pol) in seen:
+            continue
+        seen.add(id(pol))
+        first = out.setdefault(pol.label, pol)
+        if first is not pol and not (
+            first.stationary == pol.stationary
+            and np.array_equal(first.actions, pol.actions)
+        ):
+            raise ValueError(
+                f"agent {agent} has two different policies labelled {pol.label!r}; "
+                "candidate labels must identify their policies"
+            )
+    return out
+
+
+def _table_arrays(table: Mapping, m: DecMdpCom):
+    """Candidate lists and g1, g2, k arrays of a dict (s1, s2, t) -> GoalAssignment."""
+    T = m.horizon
+    n1, n2 = m.agent1.n_states, m.agent2.n_states
+    cells = [
+        table[(s1, s2, t)] for t in range(T) for s1 in range(n1) for s2 in range(n2)
+    ]
+    cand1 = list(_by_label([a.g1 for a in cells], 1).values())
+    cand2 = list(_by_label([a.g2 for a in cells], 2).values())
+    pos1 = {pol.label: i for i, pol in enumerate(cand1)}
+    pos2 = {pol.label: i for i, pol in enumerate(cand2)}
+    shape = (T, n1, n2)
+    g1 = np.array([pos1[a.g1.label] for a in cells], dtype=np.intp).reshape(shape)
+    g2 = np.array([pos2[a.g2.label] for a in cells], dtype=np.intp).reshape(shape)
+    k = np.array([a.k for a in cells], dtype=np.intp).reshape(shape)
+    return cand1, cand2, g1, g2, k
+
+
 def evaluate_lgo(delta, m: DecMdpCom) -> np.ndarray:
-    """Value table of a goal-assignment mechanism; V[horizon] = 0."""
-    table = delta.assignment if isinstance(delta, LgoMechanism) else delta
-    return _evaluate_assignment_table(table, m)
+    """Value table of a goal-assignment mechanism; V[horizon] = 0.
+
+    delta is an LgoMechanism or a dict (s1, s2, t) -> GoalAssignment covering
+    every cell."""
+    if isinstance(delta, LgoMechanism):
+        table = (delta.candidates1, delta.candidates2, delta.g1, delta.g2, delta.k)
+    else:
+        table = _table_arrays(delta, m)
+    return _evaluate_table(m, _WindowCache(m), *table, _phi_matrix(m))
 
 
 def default_candidates(agent: AgentModel, T: int) -> List[LocalGoalPolicy]:
@@ -358,7 +519,10 @@ def lgo_msbpi(
     length k (ascending), time, state, and candidate pair, re-scores the
     assignment and installs it wherever it strictly beats the current value
     (in place, so later candidates must beat the freshest value).  Stops when
-    a full round changes nothing.
+    a full round changes nothing; the table evaluated at the start of that
+    round is then the answer.  A run stopped by max_sweeps is evaluated once
+    more.  Candidate labels must identify their policies (ValueError
+    otherwise).
     """
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
@@ -366,76 +530,72 @@ def lgo_msbpi(
     cand2 = list(candidates2) if candidates2 is not None else default_candidates(m.agent2, T)
     if not cand1 or not cand2:
         raise ValueError("both agents need at least one candidate policy")
-    fast = m.extra_reward is None
+    _by_label(cand1, 1)
+    _by_label(cand2, 2)
     phi = _phi_matrix(m)
     cache = _WindowCache(m)
 
-    table: Dict[Tuple[int, int, int], GoalAssignment] = {}
-    init = GoalAssignment(cand1[0], cand2[0], 1)
-    for t in range(T):
-        for s1 in range(n1):
-            for s2 in range(n2):
-                table[(s1, s2, t)] = init
+    g1 = np.zeros((T, n1, n2), dtype=np.intp)
+    g2 = np.zeros((T, n1, n2), dtype=np.intp)
+    k_of = np.ones((T, n1, n2), dtype=np.intp)
+    every_pair = [(i1, [(i2, None) for i2 in range(len(cand2))]) for i1 in range(len(cand1))]
+    per_layer = n1 * n2 * len(cand1) * len(cand2)
 
-    considered = 0
+    scored = 0
     sweep_counts: List[int] = []
-    sweeps = 0
-    while sweeps < max_sweeps:
-        V = _evaluate_assignment_table(table, m, cache)
+    converged = False
+    while len(sweep_counts) < max_sweeps:
+        V = _evaluate_table(m, cache, cand1, cand2, g1, g2, k_of, phi)
         changed = False
-        sweep_considered = 0
         for k in range(1, T):
-            for t in range(T):
-                sweep_considered += n1 * n2 * len(cand1) * len(cand2)
-                if t + k > T:
-                    continue
-                for g1 in cand1:
-                    for g2 in cand2:
-                        if fast:
-                            F = _f_matrix(m, cache, g1, g2, t, k, V[t + k], phi)
-                        else:
-                            F = np.empty((n1, n2))
-                            for s1 in range(n1):
-                                for s2 in range(n2):
-                                    cells = _window_forward(
-                                        m, g1, g2, FactoredState(s1, s2), t, k
-                                    )
-                                    total = 0.0
-                                    for (q1, q2), (mu, rho) in cells.items():
-                                        total += rho + mu * (
-                                            m.comm_cost + V[t + k, q1, q2]
-                                        )
-                                    F[s1, s2] = total
-                        mask = F > V[t]
-                        if mask.any():
-                            changed = True
-                            asg = GoalAssignment(g1, g2, k)
-                            for s1, s2 in zip(*np.nonzero(mask)):
-                                table[(int(s1), int(s2), t)] = asg
-                            V[t][mask] = F[mask]
-        sweeps += 1
-        considered += sweep_considered
-        sweep_counts.append(sweep_considered)
+            for t in range(T - k + 1):
+                scored += per_layer
+                for i1, i2, _, F in _layer_scores(
+                    m, cache, cand1, cand2, t, k, V, phi, every_pair
+                ):
+                    mask = F > V[t]
+                    if mask.any():
+                        changed = True
+                        g1[t][mask] = i1
+                        g2[t][mask] = i2
+                        k_of[t][mask] = k
+                        V[t][mask] = F[mask]
+        sweep_counts.append((T - 1) * T * per_layer)
         if not changed:
+            converged = True
             break
-    V = _evaluate_assignment_table(table, m, cache)
+    if not converged:
+        V = _evaluate_table(m, cache, cand1, cand2, g1, g2, k_of, phi)
     return LgoMechanism(
-        assignment=table,
+        candidates1=cand1,
+        candidates2=cand2,
+        g1=g1,
+        g2=g2,
+        k=k_of,
         value=V,
-        sweeps=sweeps,
-        candidates_considered=considered,
+        sweeps=len(sweep_counts),
+        candidates_considered=sum(sweep_counts),
         sweep_candidate_counts=sweep_counts,
+        candidates_scored=scored,
     )
 
 
 def mechanism_csv(mech: LgoMechanism) -> str:
     """Assignment table as CSV (state pair, time, labels, window, value)."""
+    labels1 = [pol.label for pol in mech.candidates1]
+    labels2 = [pol.label for pol in mech.candidates2]
     lines = ["s1,s2,t,g1,g2,k,V"]
-    for (s1, s2, t), asg in sorted(mech.assignment.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])):
-        lines.append(
-            f"{s1},{s2},{t},{asg.g1.label},{asg.g2.label},{asg.k},"
-            f"{float(mech.value[t, s1, s2])!r}"
-        )
+    T, n1, n2 = mech.k.shape
+    for t in range(T):
+        for s1 in range(n1):
+            row = zip(
+                mech.g1[t, s1].tolist(),
+                mech.g2[t, s1].tolist(),
+                mech.k[t, s1].tolist(),
+                mech.value[t, s1].tolist(),
+            )
+            for s2, (i1, i2, k, v) in enumerate(row):
+                lines.append(f"{s1},{s2},{t},{labels1[i1]},{labels2[i2]},{k},{v!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -380,7 +380,13 @@ def compare_meeting_table(table_id: str, episodes: int = 1000, seed: int = 0) ->
 
 
 def reproduce(table_id: str, episodes: int = 1000, seed: int = 0) -> TableReport:
-    """Recompute one recorded table and compare cell by cell."""
+    """Recompute one recorded table and compare cell by cell.
+
+    episodes and seed drive the Monte-Carlo batches of the meeting tables
+    (T8-T13) only.  The production tables T1-T3 gate planned values (backward
+    induction and the goal-assignment planner) and the exchange-time tables
+    T5-T7 come from the myopic analysis, so neither uses them.
+    """
     spec = expected_table(table_id)
     if spec["kind"] == "production":
         return compare_production_table(table_id)

@@ -475,3 +475,71 @@ def test_delta_independence_symmetric_oracle():
     d12, _ = delta_independence(oracle, [0, 1], [0, 1], [0], T=5)
     d21, _ = delta_independence(oracle, [0, 1], [0, 1], [0], T=5)
     assert d12 == d21 == 1.0
+
+
+# ------------------------------------------------- array table and counters
+
+
+def test_returned_value_is_the_evaluated_table():
+    # a converged run returns the table it evaluated before its last sweep;
+    # a run cut by max_sweeps is evaluated once more
+    domain = build_production(0.6, 0.6, T=4, comm_cost=-1.0)
+    m = domain.model
+    done = lgo_msbpi(m, domain.candidates1, domain.candidates2)
+    cut = lgo_msbpi(m, domain.candidates1, domain.candidates2, max_sweeps=1)
+    assert 1 == cut.sweeps < done.sweeps
+    assert np.array_equal(done.value, evaluate_lgo(done, m))
+    assert np.array_equal(cut.value, evaluate_lgo(cut, m))
+    assert not np.array_equal(cut.value, done.value)
+
+
+def test_candidates_scored_counts_fitting_layers(production_08):
+    domain, mech = production_08
+    m = domain.model
+    T = m.horizon
+    fitting = sum(1 for k in range(1, T) for t in range(T) if t + k <= T)
+    per_layer = m.agent1.n_states * m.agent2.n_states * 7 * 7
+    assert (mech.sweeps, fitting, per_layer) == (3, 54, 1_239_161)
+    assert mech.candidates_scored == 200_744_082
+    assert mech.candidates_scored < mech.candidates_considered
+
+
+def test_assignment_view_is_read_only_and_complete():
+    m = toy_model()
+    mech = lgo_msbpi(m, POLICY_POOL, POLICY_POOL)
+    view = mech.assignment
+    assert len(view) == m.horizon * 2 * 2
+    assert list(view)[:3] == [(0, 0, 0), (0, 1, 0), (1, 0, 0)]
+    assert view[(1, 0, 2)] is mech.assignment_at(1, 0, 2)
+    assert (0, 0, m.horizon) not in view and (-1, 0, 0) not in view
+    with pytest.raises(TypeError):
+        view[(0, 0, 0)] = GoalAssignment(GO_POL, GO_POL, 1)
+
+
+def relabelled(pol, label):
+    return LocalGoalPolicy(label, pol.actions, pol.stationary, pol.goal, pol.value)
+
+
+def test_lgo_rejects_two_policies_with_one_label():
+    domain = build_production(0.6, 0.6, T=4, comm_cost=-1.0)
+    cand1 = list(domain.candidates1)
+    clash = relabelled(cand1[3], cand1[0].label)
+    with pytest.raises(ValueError, match=repr(cand1[0].label)):
+        lgo_msbpi(domain.model, cand1 + [clash], domain.candidates2)
+    # a copy that acts the same shares its propagators harmlessly
+    twin = relabelled(cand1[0], cand1[0].label)
+    mech = lgo_msbpi(domain.model, cand1 + [twin], domain.candidates2)
+    want = lgo_msbpi(domain.model, cand1, domain.candidates2)
+    assert np.array_equal(mech.value, want.value)
+
+
+def test_evaluate_lgo_rejects_two_policies_with_one_label():
+    m = toy_model()
+    table = random_table(m, 5)
+    table[(0, 0, 0)] = GoalAssignment(relabelled(WAIT_POL, "march"), GO_POL, 1)
+    with pytest.raises(ValueError, match="'march'"):
+        evaluate_lgo(table, m)
+    twin = dict(table)
+    twin[(0, 0, 0)] = GoalAssignment(relabelled(GO_POL, "march"), GO_POL, 1)
+    table[(0, 0, 0)] = GoalAssignment(GO_POL, GO_POL, 1)
+    np.testing.assert_array_equal(evaluate_lgo(twin, m), evaluate_lgo(table, m))
