@@ -92,7 +92,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"error: search-node budget exhausted ({exc})", file=sys.stderr)
         return EXIT_USAGE
     print(f"value at initial state: {float(mech.value[0, s1, s2])!r}")
-    print(f"iterations: {mech.iterations}, nodes created: {mech.nodes_created}")
+    print(
+        f"iterations: {mech.iterations}, nodes created: {mech.nodes_created},"
+        f" largest cell: {mech.max_cell_nodes} of budget {args.node_budget}"
+    )
     _write_out(args, iteration_csv(mech))
     return EXIT_OK
 

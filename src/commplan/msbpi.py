@@ -5,13 +5,19 @@ length-1 tree pairs, expand the live frontiers of promising pairs one level
 at a time, and keep the best pair whose every branch ends with an exchange or
 runs to the horizon.  Iterating evaluation and improvement sweeps converges
 to the best mechanism over unrestricted tree pairs.
+
+A child pair differs from its parent only at the new deepest level, so each
+search node carries its pair's forward state before and after that level.
+A child is scored by one more level of the forward kernel from its parent,
+adding terms in joint_f_value's order, so its value is bitwise the value of
+a walk from the root.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +25,8 @@ from .model import DecMdpCom, FactoredState, validate
 from .options import (
     COMMUNICATE,
     PolicyTree,
+    _Successors,
+    _forward_level,
     joint_f_value,
     live_frontier,
     live_levels,
@@ -38,25 +46,55 @@ class NodeBudgetExceeded(RuntimeError):
         )
 
 
+class ForwardState(NamedTuple):
+    """A tree pair's joint execution from the search root up to some depth.
+
+    ``exchanged`` is the running sum of the exchange-branch terms, added as
+    joint_f_value adds them: by elapsed step, then in cell order.  Cells that
+    ran out of tree wait in ``stopped`` as (elapsed, cells) and the cells
+    still running in ``alive``; both are valued last, as joint_f_value does.
+    """
+
+    alive: Dict[Tuple[int, int], list]
+    exchanged: float
+    stopped: Tuple[Tuple[int, Dict[Tuple[int, int], list]], ...]
+
+
 @dataclass
 class SearchNode:
-    """A candidate pair of equal-size policy trees with its estimated value."""
+    """A candidate pair of equal-size policy trees with its estimated value.
+
+    ``before`` is the pair's forward state ahead of its deepest level and
+    ``after`` the state past it: children extend ``after`` by one level, and
+    capping the deepest level re-runs it from ``before``.
+    """
 
     tree1: PolicyTree
     tree2: PolicyTree
     f: float
     depth: int
+    before: ForwardState
+    after: ForwardState
 
 
 @dataclass
 class GeneralMechanism:
-    """Assignment of a tree pair to every (s1, s2, t) plus its value table."""
+    """Assignment of a tree pair to every (s1, s2, t) plus its value table.
+
+    ``sweep_nodes`` counts the nodes each improvement sweep created, the
+    last sweep (which finds nothing) included, so it sums to
+    ``nodes_created``; ``history`` has a row only for sweeps that changed
+    cells.  ``max_cell_nodes`` is the largest node count of one
+    improve_state call, to read against the node budget.
+    """
 
     pairs: Dict[Tuple[int, int, int], Tuple[PolicyTree, PolicyTree]]
     value: np.ndarray  # indexed [t, s1, s2]
     iterations: int = 0
     nodes_created: int = 0
     history: List[dict] = field(default_factory=list)
+    sweep_nodes: List[int] = field(default_factory=list)
+    max_cell_nodes: int = 0
 
     def pair_at(self, s1: int, s2: int, t: int) -> Tuple[PolicyTree, PolicyTree]:
         return self.pairs[(s1, s2, t)]
@@ -156,20 +194,42 @@ def improve_state(
     counter = node_counter if node_counter is not None else [0]
     best = float(V[t, s.s1, s.s2])
     best_pair = None
+    succ1 = _Successors(m.agent1)
+    succ2 = _Successors(m.agent2)
 
-    def create(tree1: PolicyTree, tree2: PolicyTree) -> SearchNode:
+    def advance(state: ForwardState, tree1, tree2, j: int) -> ForwardState:
+        term, halted, alive = _forward_level(
+            state.alive, tree1, tree2, m, j, succ1, succ2
+        )
+        exchanged = state.exchanged
+        charged = m.comm_cost if t + j < m.horizon else 0.0
+        for (s1, s2), (mu, rho) in term.items():
+            exchanged += rho + mu * (charged + V[t + j, s1, s2])
+        stopped = state.stopped + ((j - 1, halted),) if halted else state.stopped
+        return ForwardState(alive, exchanged, stopped)
+
+    def create(tree1, tree2, depth: int, before: ForwardState) -> SearchNode:
         counter[0] += 1
         if counter[0] > node_budget:
             raise NodeBudgetExceeded(node_budget, counter[0])
-        f = joint_f_value(tree1, tree2, m, s, t, V)
-        return SearchNode(tree1, tree2, f, tree1.size)
+        after = advance(before, tree1, tree2, depth)
+        f = after.exchanged
+        for j, cells in after.stopped:
+            for (s1, s2), (mu, rho) in cells.items():
+                f += rho + mu * V[t + j, s1, s2]
+        for (s1, s2), (mu, rho) in after.alive.items():
+            f += rho + mu * V[t + depth, s1, s2]
+        return SearchNode(tree1, tree2, f, depth, before, after)
 
+    root = ForwardState({(s.s1, s.s2): [1.0, 0.0]}, 0.0, ())
     stack: List[SearchNode] = []
     for a1 in list(range(m.agent1.n_actions)) + [COMMUNICATE]:
         for a2 in list(range(m.agent2.n_actions)) + [COMMUNICATE]:
             node = create(
                 PolicyTree(s.s1, {(s.s1, 0): a1}),
                 PolicyTree(s.s2, {(s.s2, 0): a2}),
+                1,
+                root,
             )
             if node.f > best:
                 stack.append(node)
@@ -192,7 +252,7 @@ def improve_state(
                 capped = (_cap_with_comm(node.tree1, m.agent1), node.tree2)
             else:
                 capped = (node.tree1, _cap_with_comm(node.tree2, m.agent2))
-            cnode = create(*capped)
+            cnode = create(*capped, size, node.before)
             if cnode.f > best:
                 best = cnode.f
                 best_pair = capped
@@ -211,7 +271,7 @@ def improve_state(
                 t2 = node.tree2.with_assignments(
                     {(q, size): a for q, a in asg2.items()}
                 )
-                child = create(t1, t2)
+                child = create(t1, t2, new_size, node.after)
                 if child.f > best:
                     children.append(child)
         stack.extend(children)
@@ -243,8 +303,9 @@ def msbpi(
         pairs = dict(initial_delta.pairs)
         V = evaluate_policy(initial_delta, m)
     iterations = 0
-    nodes_total = 0
     history: List[dict] = []
+    sweep_nodes: List[int] = []
+    max_cell_nodes = 0
     while True:
         updates = {}
         counter = [0]
@@ -262,9 +323,10 @@ def msbpi(
                         node_counter=cell_counter,
                     )
                     counter[0] += cell_counter[0]
+                    max_cell_nodes = max(max_cell_nodes, cell_counter[0])
                     if res is not None:
                         updates[(s1, s2, t)] = res[0]
-        nodes_total += counter[0]
+        sweep_nodes.append(counter[0])
         if not updates:
             break
         pairs.update(updates)
@@ -284,8 +346,10 @@ def msbpi(
         pairs=pairs,
         value=V,
         iterations=iterations,
-        nodes_created=nodes_total,
+        nodes_created=sum(sweep_nodes),
         history=history,
+        sweep_nodes=sweep_nodes,
+        max_cell_nodes=max_cell_nodes,
     )
 
 

@@ -12,6 +12,10 @@ and the expected reward accumulated on the way.  A communicating agent's
 state freezes for that step and it executes no domain action; the other
 agent's concurrent domain action does execute; the exchange itself is charged
 once at the pair level, and not at all when it falls exactly at the horizon.
+
+One level function advances a pair's running cells by one step.
+pair_forward loops it from the root; the tree-pair search calls it directly
+to extend a node by its new deepest level.
 """
 
 from __future__ import annotations
@@ -60,9 +64,6 @@ class PolicyTree:
 
     def __hash__(self):
         return hash((self.root_state, tuple(sorted(self.assignment.items()))))
-
-
-OptionTree = PolicyTree  # an OptionTree is a PolicyTree that passes is_option()
 
 
 def tree_size(tree: PolicyTree) -> int:
@@ -255,6 +256,66 @@ def joint_pn(
     return np.outer(p1t, p2r) + np.outer(p1r, p2t) - np.outer(p1t, p2t)
 
 
+class _Successors(dict):
+    """(state, action) -> ((next state, probability), ...) over the p > 0
+    entries of one agent's transition row, in index order, filled on first
+    use.
+
+    Made afresh by each public call that walks a model and never cached on
+    the model, so an edited transition array is always read anew.
+    """
+
+    __slots__ = ("_transition",)
+
+    def __init__(self, agent: AgentModel):
+        self._transition = agent.transition
+
+    def __missing__(self, key):
+        row = self._transition[key]
+        nonzero = np.nonzero(row > 0.0)[0]
+        succ = tuple(zip(nonzero.tolist(), row[nonzero].tolist()))
+        self[key] = succ
+        return succ
+
+
+def _forward_level(
+    alive, opt1: PolicyTree, opt2: PolicyTree, m: DecMdpCom, j: int, succ1, succ2
+):
+    """Advance the alive cells of a pair's joint execution by step j.
+
+    alive maps (s1, s2) -> [mass, accumulated reward mass] at elapsed step
+    j - 1 and is left untouched.  Returns (term, stopped, nxt): the cells
+    whose first exchange fires at step j, the cells that ran out of tree at
+    j - 1, and the cells still running after step j.  succ1 and succ2 are
+    the agents' _Successors.
+    """
+    term: Dict[Tuple[int, int], list] = {}
+    stopped: Dict[Tuple[int, int], list] = {}
+    nxt: Dict[Tuple[int, int], list] = {}
+    for (s1, s2), (mu, rho) in alive.items():
+        a1 = opt1.action_at(s1, j - 1)
+        a2 = opt2.action_at(s2, j - 1)
+        if a1 is None and a2 is None:
+            stopped[(s1, s2)] = [mu, rho]
+            continue
+        comm1 = a1 == COMMUNICATE
+        comm2 = a2 == COMMUNICATE
+        act1 = a1 if (a1 is not None and not comm1) else None
+        act2 = a2 if (a2 is not None and not comm2) else None
+        out = term if (comm1 or comm2) else nxt
+        for ns1, p1 in ((s1, 1.0),) if act1 is None else succ1[s1, act1]:
+            for ns2, p2 in ((s2, 1.0),) if act2 is None else succ2[s2, act2]:
+                p = p1 * p2
+                if p <= 0.0:
+                    continue
+                r = m.step_reward(s1, s2, act1, act2, ns1, ns2)
+                mass = mu * p
+                cell = out.setdefault((ns1, ns2), [0.0, 0.0])
+                cell[0] += mass
+                cell[1] += rho * p + mass * r
+    return term, stopped, nxt
+
+
 def pair_forward(
     opt1: PolicyTree,
     opt2: PolicyTree,
@@ -273,69 +334,22 @@ def pair_forward(
     the communication act; the communicator's state freezes and only the
     other agent's action cost is charged that step.
     """
-    depth_cap = max(opt1.size, opt2.size)
-    depth_cap = min(depth_cap, m.horizon - t)
+    depth_cap = min(max(opt1.size, opt2.size), m.horizon - t)
+    succ1 = _Successors(m.agent1)
+    succ2 = _Successors(m.agent2)
     term: Dict[int, Dict[Tuple[int, int], list]] = {}
     stopped: Dict[int, Dict[Tuple[int, int], list]] = {}
     alive: Dict[Tuple[int, int], list] = {(s.s1, s.s2): [1.0, 0.0]}
-
-    def bucket(store, j, key, mass, reward):
-        cell = store.setdefault(j, {}).setdefault(key, [0.0, 0.0])
-        cell[0] += mass
-        cell[1] += reward
-
     for j in range(1, depth_cap + 1):
-        nxt: Dict[Tuple[int, int], list] = {}
-        for (s1, s2), (mu, rho) in alive.items():
-            a1 = opt1.action_at(s1, j - 1)
-            a2 = opt2.action_at(s2, j - 1)
-            if a1 is None and a2 is None:
-                bucket(stopped, j - 1, (s1, s2), mu, rho)
-                continue
-            comm1 = a1 == COMMUNICATE
-            comm2 = a2 == COMMUNICATE
-            act1 = a1 if (a1 is not None and not comm1) else None
-            act2 = a2 if (a2 is not None and not comm2) else None
-            row1 = (
-                m.agent1.transition[s1, act1]
-                if act1 is not None
-                else None
-            )
-            row2 = (
-                m.agent2.transition[s2, act2]
-                if act2 is not None
-                else None
-            )
-            succ1 = (
-                [(s1, 1.0)]
-                if row1 is None
-                else [(int(q), float(row1[q])) for q in np.nonzero(row1 > 0.0)[0]]
-            )
-            succ2 = (
-                [(s2, 1.0)]
-                if row2 is None
-                else [(int(q), float(row2[q])) for q in np.nonzero(row2 > 0.0)[0]]
-            )
-            terminated = comm1 or comm2
-            for ns1, p1 in succ1:
-                for ns2, p2 in succ2:
-                    p = p1 * p2
-                    if p <= 0.0:
-                        continue
-                    r = m.step_reward(s1, s2, act1, act2, ns1, ns2)
-                    mass = mu * p
-                    reward = rho * p + mass * r
-                    if terminated:
-                        bucket(term, j, (ns1, ns2), mass, reward)
-                    else:
-                        cell = nxt.setdefault((ns1, ns2), [0.0, 0.0])
-                        cell[0] += mass
-                        cell[1] += reward
-        alive = nxt
+        cells, halted, alive = _forward_level(alive, opt1, opt2, m, j, succ1, succ2)
+        if cells:
+            term[j] = cells
+        if halted:
+            stopped[j - 1] = halted
         if not alive:
             break
-    for key, (mu, rho) in alive.items():
-        bucket(stopped, depth_cap, key, mu, rho)
+    if alive:
+        stopped[depth_cap] = {key: [mu, rho] for key, (mu, rho) in alive.items()}
     return term, stopped
 
 

@@ -103,6 +103,10 @@ def test_plan_msbpi_on_a_model_file(capsys, tmp_path):
     printed = float(value_line.split(":", 1)[1])
     mech = msbpi(parse_model(TINY_MODEL))
     assert printed == pytest.approx(float(mech.value[0, 0, 0]), abs=0)
+    assert (
+        f"iterations: {mech.iterations}, nodes created: {mech.nodes_created},"
+        f" largest cell: {mech.max_cell_nodes} of budget 1000000"
+    ) in out.splitlines()
 
 
 def test_plan_msbpi_budget_exhaustion_is_a_usage_error(capsys):

@@ -355,22 +355,35 @@ def k1_restricted_oracle(m, cand1, cand2):
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
     V = np.zeros((T + 1, n1, n2))
+    succ = {}
+    rewards = {}
+
+    def successors(agent, s, a):
+        key = (agent is m.agent2, s, a)
+        if key not in succ:
+            row = agent.transition[s, a]
+            succ[key] = [(int(q), row[q]) for q in np.nonzero(row > 0.0)[0]]
+        return succ[key]
+
+    def reward(*key):
+        if key not in rewards:
+            rewards[key] = m.step_reward(*key)
+        return rewards[key]
+
     for t in range(T - 1, -1, -1):
         for s1 in range(n1):
             for s2 in range(n2):
                 best = -np.inf
                 for g1 in cand1:
                     a1 = g1.action_at(s1, t)
-                    row1 = m.agent1.transition[s1, a1]
-                    succ1 = np.nonzero(row1 > 0.0)[0]
+                    succ1 = successors(m.agent1, s1, a1)
                     for g2 in cand2:
                         a2 = g2.action_at(s2, t)
-                        row2 = m.agent2.transition[s2, a2]
                         total = 0.0
-                        for q1 in succ1:
-                            for q2 in np.nonzero(row2 > 0.0)[0]:
-                                r = m.step_reward(s1, s2, a1, a2, int(q1), int(q2))
-                                total += row1[q1] * row2[q2] * (
+                        for q1, p1 in succ1:
+                            for q2, p2 in successors(m.agent2, s2, a2):
+                                r = reward(s1, s2, a1, a2, q1, q2)
+                                total += p1 * p2 * (
                                     r + m.comm_cost + V[t + 1, q1, q2]
                                 )
                         best = max(best, total)

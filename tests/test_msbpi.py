@@ -339,3 +339,40 @@ def test_msbpi_rejects_invalid_model():
     m.agent1.transition[0, 0, :] = 0.7  # rows no longer sum to one
     with pytest.raises(ValueError):
         msbpi(m)
+
+
+def test_sweep_nodes_cover_every_sweep():
+    for params in TOY_GRID:
+        mech = msbpi(toy_model(**params))
+        assert len(mech.sweep_nodes) == mech.iterations + 1
+        assert sum(mech.sweep_nodes) == mech.nodes_created
+        assert mech.sweep_nodes[:-1] == [row["nodes_created"] for row in mech.history]
+        assert 0 < mech.max_cell_nodes <= max(mech.sweep_nodes)
+
+
+def test_max_cell_nodes_is_the_smallest_sufficient_budget():
+    m = toy_model()
+    mech = msbpi(m)
+    tight = msbpi(m, node_budget=mech.max_cell_nodes)
+    assert tight.pairs == mech.pairs
+    assert np.array_equal(tight.value, mech.value)
+    with pytest.raises(NodeBudgetExceeded) as err:
+        msbpi(m, node_budget=mech.max_cell_nodes - 1)
+    assert err.value.created == mech.max_cell_nodes
+
+
+def test_msbpi_reads_transitions_edited_in_place():
+    m = toy_model()
+    before = msbpi(m)
+    row = np.array([0.2, 0.8])
+    m.agent1.transition[0, 0] = row  # still a valid model
+    after = msbpi(m)
+    fresh = toy_model()
+    fresh.agent1.transition[0, 0] = row
+    want = msbpi(fresh)
+    assert not np.array_equal(after.value, before.value)
+    assert after.pairs == want.pairs
+    assert np.array_equal(after.value, want.value)
+    assert after.nodes_created == want.nodes_created
+    assert after.history == want.history
+
