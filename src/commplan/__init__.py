@@ -6,7 +6,7 @@ the joint model (:mod:`commplan.model`), a text format for it
 (:mod:`commplan.model_io`), policy-tree options that end in an exchange
 (:mod:`commplan.options`), exact multi-step backup policy iteration
 (:mod:`commplan.msbpi`), the scalable goal-assignment variant
-(:mod:`commplan.lgo`), myopic exchange timing built on fixed local policies
+(:mod:`commplan.lgo`), myopic exchange timing on the meeting grid
 (:mod:`commplan.myopic`), two benchmark scenarios (:mod:`commplan.domains`),
 a seeded Monte-Carlo runner (:mod:`commplan.sim`), and recorded reference
 tables with reproduction helpers (:mod:`commplan.tables`).
@@ -29,7 +29,6 @@ from .lgo import (
     GoalAssignment,
     LgoMechanism,
     LocalGoalPolicy,
-    delta_independence,
     evaluate_lgo,
     lgo_msbpi,
     solve_local_mdp,
@@ -43,17 +42,9 @@ from .msbpi import (
     evaluate_policy,
     msbpi,
 )
-from .myopic import (
-    CommPolicy,
-    comm_policy_table,
-    pbar,
-    rbar,
-    theta_c,
-    theta_nc,
-    theta_nc_meeting,
-)
-from .options import COMMUNICATE, PolicyTree, joint_f_value, joint_pn, joint_rn
-from .sim import SimConfig, SimResult, monte_carlo, run_episode, welch_ttest
+from .myopic import CommPolicy, comm_policy_table, theta_nc_meeting
+from .options import COMMUNICATE, PolicyTree, joint_f_value
+from .sim import SimConfig, SimResult, monte_carlo, run_episode
 from .tables import TABLE_IDS, expected_table, reproduce
 
 __version__ = "0.1.0"
@@ -85,28 +76,20 @@ __all__ = [
     "build_meeting",
     "build_production",
     "comm_policy_table",
-    "delta_independence",
     "evaluate_lgo",
     "evaluate_policy",
     "expected_table",
     "joint_f_value",
-    "joint_pn",
-    "joint_rn",
     "lgo_msbpi",
     "models_equal",
     "monte_carlo",
     "msbpi",
     "parse_model",
-    "pbar",
-    "rbar",
     "reproduce",
     "run_episode",
     "serialize_model",
     "solve_joint_mmdp",
     "solve_local_mdp",
-    "theta_c",
-    "theta_nc",
     "theta_nc_meeting",
     "validate",
-    "welch_ttest",
 ]

@@ -66,12 +66,6 @@ class MyopicGreedy:
     policy: CommPolicy
 
 
-def subgoal_strategy(cfg: "GridConfig", p: float) -> SubGoals:
-    """Validated SubGoals strategy for a grid configuration."""
-    del cfg  # the radius depends only on revealed separations
-    return SubGoals(p)
-
-
 SUBGOAL_SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
@@ -271,7 +265,6 @@ def build_production(
         initial_state=FactoredState(
             init_state.b_a * nb1 + init_state.b_b,
             init_state.c_a * nb2 + init_state.c_b,
-            0,
         ),
         goal_predicate=None,
         potential=potential,
@@ -490,7 +483,6 @@ def build_meeting(cfg: GridConfig) -> MeetingDomain:
         initial_state=FactoredState(
             cfg.start1[0] * cfg.height + cfg.start1[1],
             cfg.start2[0] * cfg.height + cfg.start2[1],
-            0,
         ),
         goal_predicate=lambda s1, s2: s1 == s2,
         potential=None,

@@ -28,11 +28,12 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import AgentModel, DecMdpCom, FactoredState
+from .model import AgentModel, DecMdpCom
+from .options import _forward_level, _Successors
 
 
 @dataclass(eq=False)
@@ -242,92 +243,17 @@ class _WindowCache:
         prev_key = (agent_idx, pol.label, t_key, k - 1)
         if k > 1 and prev_key in self.cache:
             M, c = self.cache[prev_key]
-            step_t = t + k - 1
         else:
             M = np.eye(agent.n_states)
             c = np.zeros(agent.n_states)
             for j in range(k - 1):
                 c = c + M @ _step_cost_vector(agent, pol, t + j)
                 M = M @ _step_matrix(agent, pol, t + j)
-            step_t = t + k - 1
+        step_t = t + k - 1
         c = c + M @ _step_cost_vector(agent, pol, step_t)
         M = M @ _step_matrix(agent, pol, step_t)
         self.cache[key] = (M, c)
         return M, c
-
-
-def png(
-    assignment: GoalAssignment,
-    m: DecMdpCom,
-    s: FactoredState,
-    t: int,
-    k: int,
-) -> np.ndarray:
-    """Distribution over global states after k steps under the assigned
-    policies; the exchange happens after the window regardless, so there is
-    no early termination inside it."""
-    if k <= 0:
-        raise ValueError(f"window length must be positive, got {k}")
-    if t + k > m.horizon:
-        raise ValueError(f"window [{t}, {t + k}) runs past the horizon {m.horizon}")
-    row1 = np.zeros(m.agent1.n_states)
-    row1[s.s1] = 1.0
-    row2 = np.zeros(m.agent2.n_states)
-    row2[s.s2] = 1.0
-    for j in range(k):
-        row1 = row1 @ _step_matrix(m.agent1, assignment.g1, t + j)
-        row2 = row2 @ _step_matrix(m.agent2, assignment.g2, t + j)
-    return np.outer(row1, row2)
-
-
-def _window_forward(
-    m: DecMdpCom,
-    pol1: LocalGoalPolicy,
-    pol2: LocalGoalPolicy,
-    s: FactoredState,
-    t: int,
-    k: int,
-) -> Dict[Tuple[int, int], list]:
-    """Joint mass and accumulated reward over a k-step no-exchange window."""
-    cur: Dict[Tuple[int, int], list] = {(s.s1, s.s2): [1.0, 0.0]}
-    for j in range(k):
-        tau = t + j
-        nxt: Dict[Tuple[int, int], list] = {}
-        for (s1, s2), (mu, rho) in cur.items():
-            a1 = pol1.action_at(s1, tau)
-            a2 = pol2.action_at(s2, tau)
-            row1 = m.agent1.transition[s1, a1]
-            row2 = m.agent2.transition[s2, a2]
-            for q1 in np.nonzero(row1 > 0.0)[0]:
-                for q2 in np.nonzero(row2 > 0.0)[0]:
-                    p = row1[q1] * row2[q2]
-                    r = m.step_reward(s1, s2, a1, a2, int(q1), int(q2))
-                    cell = nxt.setdefault((int(q1), int(q2)), [0.0, 0.0])
-                    cell[0] += mu * p
-                    cell[1] += rho * p + mu * p * r
-        cur = nxt
-    return cur
-
-
-def rng(
-    assignment: GoalAssignment,
-    m: DecMdpCom,
-    s: FactoredState,
-    t: int,
-    s_next: FactoredState,
-    k: int,
-) -> float:
-    """Expected window reward conditioned on ending at s_next, plus the
-    exchange cost (always charged; the exchange follows every window)."""
-    if k <= 0:
-        raise ValueError(f"window length must be positive, got {k}")
-    if t + k > m.horizon:
-        raise ValueError(f"window [{t}, {t + k}) runs past the horizon {m.horizon}")
-    cells = _window_forward(m, assignment.g1, assignment.g2, s, t, k)
-    cell = cells.get((s_next.s1, s_next.s2))
-    if cell is None or cell[0] <= 0.0:
-        return 0.0
-    return cell[1] / cell[0] + m.comm_cost
 
 
 def _phi_matrix(m: DecMdpCom) -> np.ndarray:
@@ -335,6 +261,16 @@ def _phi_matrix(m: DecMdpCom) -> np.ndarray:
     if phi is None:
         return np.zeros((m.agent1.n_states, m.agent2.n_states))
     return phi
+
+
+class _Window(NamedTuple):
+    """A goal policy read as a policy tree rooted at time t."""
+
+    pol: LocalGoalPolicy
+    t: int
+
+    def action_at(self, s: int, d: int) -> int:
+        return self.pol.action_at(s, self.t + d)
 
 
 def _forward_value(
@@ -346,12 +282,18 @@ def _forward_value(
     t: int,
     k: int,
     V: np.ndarray,
+    succ1: _Successors,
+    succ2: _Successors,
 ) -> float:
-    """Value at t of assigning (g1, g2, k) in (s1, s2), by forward propagation."""
+    """Value at t of assigning (g1, g2, k) in (s1, s2), by k levels of the
+    forward kernel.  Goal policies never communicate or run out, so every
+    cell stays alive through the window."""
+    w1, w2 = _Window(g1, t), _Window(g2, t)
+    alive = {(s1, s2): [1.0, 0.0]}
+    for j in range(1, k + 1):
+        _, _, alive = _forward_level(alive, w1, w2, m, j, succ1, succ2)
     total = 0.0
-    for (q1, q2), (mu, rho) in _window_forward(
-        m, g1, g2, FactoredState(s1, s2), t, k
-    ).items():
+    for (q1, q2), (mu, rho) in alive.items():
         total += rho + mu * (m.comm_cost + V[t + k, q1, q2])
     return total
 
@@ -394,12 +336,15 @@ def _layer_scores(
                 yield i1, i2, cells, c1[:, None] + c2[None, :] - phi + m.comm_cost + A @ M2.T
         return
     n1, n2 = m.agent1.n_states, m.agent2.n_states
+    succ1, succ2 = _Successors(m.agent1), _Successors(m.agent2)
     for i1, row in rows:
         for i2, cells in row:
             F = np.empty((n1, n2))
             for c in range(n1 * n2) if cells is None else cells:
                 s1, s2 = divmod(int(c), n2)
-                F[s1, s2] = _forward_value(m, cand1[i1], cand2[i2], s1, s2, t, k, V)
+                F[s1, s2] = _forward_value(
+                    m, cand1[i1], cand2[i2], s1, s2, t, k, V, succ1, succ2
+                )
             yield i1, i2, cells, F
 
 
@@ -581,10 +526,11 @@ def lgo_msbpi(
 
 
 def mechanism_csv(mech: LgoMechanism) -> str:
-    """Assignment table as CSV (state pair, time, labels, window, value)."""
+    """Assignment table as CSV (state pair, time, labels, window, value),
+    joined per (t, s1) row so only one row's line strings are alive at once."""
     labels1 = [pol.label for pol in mech.candidates1]
     labels2 = [pol.label for pol in mech.candidates2]
-    lines = ["s1,s2,t,g1,g2,k,V"]
+    rows = ["s1,s2,t,g1,g2,k,V\n"]
     T, n1, n2 = mech.k.shape
     for t in range(T):
         for s1 in range(n1):
@@ -594,36 +540,9 @@ def mechanism_csv(mech: LgoMechanism) -> str:
                 mech.k[t, s1].tolist(),
                 mech.value[t, s1].tolist(),
             )
-            for s2, (i1, i2, k, v) in enumerate(row):
-                lines.append(f"{s1},{s2},{t},{labels1[i1]},{labels2[i2]},{k},{v!r}")
-    return "\n".join(lines) + "\n"
-
-
-def delta_independence(
-    cost_oracle: Callable[[int, int, int, int], float],
-    goals1: Sequence[int],
-    goals2: Sequence[int],
-    states: Sequence[int],
-    T: int,
-) -> Tuple[float, float]:
-    """Worst-case cost interference between the agents' goal pursuits.
-
-    cost_oracle(agent, s, own_goal, other_goal) gives the expected cost agent
-    1 or 2 incurs reaching own_goal from global state s while its partner
-    pursues other_goal.  The interference of one agent is the largest spread,
-    over partner goals, of that cost; the bound on the mechanism's loss from
-    treating goals independently is twice the horizon times the worst spread.
-    """
-
-    def spread(agent: int, own_goals, other_goals) -> float:
-        worst = 0.0
-        for s in states:
-            for g in own_goals:
-                vals = [cost_oracle(agent, s, g, h) for h in other_goals]
-                worst = max(worst, max(vals) - min(vals))
-        return worst
-
-    d1 = spread(1, goals1, goals2)
-    d2 = spread(2, goals2, goals1)
-    delta = max(d1, d2)
-    return delta, 2.0 * T * delta
+            lines = [
+                f"{s1},{s2},{t},{labels1[i1]},{labels2[i2]},{k},{v!r}\n"
+                for s2, (i1, i2, k, v) in enumerate(row)
+            ]
+            rows.append("".join(lines))
+    return "".join(rows)

@@ -4,22 +4,23 @@ The global process factors into two independent local processes: each agent
 fully observes its own local state, the joint transition probability is the
 product of the local ones, and the only way to learn the other agent's state
 is a joint message exchange charged ``comm_cost`` once per exchange.
+validate() reports what the planners rely on: shapes, finite numbers,
+stochastic rows, a non-positive exchange cost and a reachable goal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 
 class FactoredState(NamedTuple):
-    """A global state as a pair of local state indices, optionally stamped with time."""
+    """A global state as a pair of local state indices."""
 
     s1: int
     s2: int
-    t: Optional[int] = None
 
 
 @dataclass(eq=False)
@@ -68,6 +69,17 @@ class AgentModel:
                 f"match ({self.n_states}, {self.n_actions}, {self.n_states})"
             )
             return out
+        bad = np.argwhere(~np.isfinite(self.transition))
+        if len(bad):
+            s, a, _ = bad[0]
+            out.append(
+                f"{self.name}: non-finite transition probability at state {s} "
+                f"action {self.actions[a]}"
+            )
+        if self.action_cost is not None:
+            bad = np.flatnonzero(~np.isfinite(self.action_cost))
+            if len(bad):
+                out.append(f"{self.name}: non-finite cost for action {self.actions[bad[0]]}")
         if np.any(self.transition < -1e-12) or np.any(self.transition > 1.0 + 1e-12):
             bad = np.argwhere((self.transition < -1e-12) | (self.transition > 1.0 + 1e-12))
             s, a, _ = bad[0]
@@ -140,48 +152,12 @@ class DecMdpCom:
             r += self.extra_reward(s1, s2, ns1, ns2)
         return r
 
-    def joint_reward(self, s: FactoredState, a1: int, a2: int, s_next: FactoredState) -> float:
-        """Reward of one joint domain step (both agents acting)."""
-        return self.step_reward(s.s1, s.s2, a1, a2, s_next.s1, s_next.s2)
-
     def potential_matrix(self) -> Optional[np.ndarray]:
         """potential evaluated on every global state, shape (n1, n2); None if unset."""
         if self.potential is None:
             return None
         n1, n2 = self.agent1.n_states, self.agent2.n_states
-        out = np.empty((n1, n2))
-        for i in range(n1):
-            for j in range(n2):
-                out[i, j] = self.potential(i, j)
-        return out
-
-    def goal_mask(self) -> np.ndarray:
-        """Boolean matrix (n1, n2) marking global goal states."""
-        n1, n2 = self.agent1.n_states, self.agent2.n_states
-        mask = np.zeros((n1, n2), dtype=bool)
-        if self.goal_predicate is None:
-            return mask
-        for i in range(n1):
-            for j in range(n2):
-                mask[i, j] = bool(self.goal_predicate(i, j))
-        return mask
-
-
-def joint_transition_prob(
-    m: DecMdpCom, s: FactoredState, a1: int, a2: int, s_next: FactoredState
-) -> float:
-    """Probability of one joint domain step, the product of the local rows."""
-    for agent, st, act in ((m.agent1, s.s1, a1), (m.agent2, s.s2, a2)):
-        if not (0 <= st < agent.n_states):
-            raise ValueError(f"{agent.name}: state index {st} out of range")
-        if not (0 <= act < agent.n_actions):
-            raise ValueError(f"{agent.name}: action index {act} out of range")
-    for agent, st in ((m.agent1, s_next.s1), (m.agent2, s_next.s2)):
-        if not (0 <= st < agent.n_states):
-            raise ValueError(f"{agent.name}: next-state index {st} out of range")
-    p1 = m.agent1.transition[s.s1, a1, s_next.s1]
-    p2 = m.agent2.transition[s.s2, a2, s_next.s2]
-    return float(p1 * p2)
+        return np.array([[self.potential(i, j) for j in range(n2)] for i in range(n1)], float)
 
 
 def _goal_reachable_within(m: DecMdpCom, max_visited: int = 200_000) -> Optional[bool]:
@@ -228,13 +204,13 @@ def validate(m: DecMdpCom) -> list:
     out.extend(m.agent2.violations())
     if m.horizon < 1:
         out.append(f"horizon must be >= 1, got {m.horizon}")
-    if m.comm_cost > 0:
+    if not np.isfinite(m.comm_cost):
+        out.append(f"comm_cost must be finite, got {m.comm_cost}")
+    elif m.comm_cost > 0:
         out.append(f"comm_cost must be <= 0, got {m.comm_cost}")
     s0 = m.initial_state
     if not (0 <= s0.s1 < m.agent1.n_states and 0 <= s0.s2 < m.agent2.n_states):
         out.append(f"initial state {s0} out of range")
-    elif s0.t is not None and not (0 <= s0.t <= m.horizon):
-        out.append(f"initial time stamp {s0.t} outside 0..{m.horizon}")
     else:
         try:
             r = m.step_reward(s0.s1, s0.s2, 0, 0, s0.s1, s0.s2)

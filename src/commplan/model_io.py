@@ -26,13 +26,17 @@ first, then one block per agent, then optional joint goal pairs:
     goal_pairs (s1,s1)
 
 States and actions are referenced by label.  Transition rows not listed
-default to staying in place with probability 1.  Serialization is canonical
-(sorted, fixed formatting), so parse -> serialize -> parse is an identity.
+default to staying in place with probability 1.  Numbers must be finite
+and no key, action cost or (state, action) trans row may repeat.
+Serialization is canonical (sorted, fixed formatting), so parse -> serialize
+-> parse is an identity; models with a potential or an extra reward, which
+the format cannot carry, are refused.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -41,6 +45,22 @@ from .model import AgentModel, DecMdpCom, FactoredState
 
 class ModelFormatError(ValueError):
     pass
+
+
+def _number(tok: str, ln: int) -> float:
+    try:
+        x = float(tok)
+    except ValueError:
+        raise ModelFormatError(f"line {ln}: '{tok}' is not a number") from None
+    if not math.isfinite(x):
+        raise ModelFormatError(f"line {ln}: non-finite number '{tok}'")
+    return x
+
+
+def _once(seen: dict, key, ln: int, what: str) -> None:
+    if key in seen:
+        raise ModelFormatError(f"line {ln}: repeated {what} (first on line {seen[key]})")
+    seen[key] = ln
 
 
 def _tokenize(text: str) -> list:
@@ -58,27 +78,21 @@ def _parse_agent_block(lines, i, expected_index):
         raise ModelFormatError(f"line {ln}: expected 'agent {expected_index}'")
     name = toks[2] if len(toks) > 2 else f"agent{expected_index}"
     i += 1
-    states: list = []
-    actions: list = []
-    noop: Optional[str] = None
-    goals: list = []
+    fields: dict = {}
     costs: dict = {}
     trans_rows: list = []
+    seen: dict = {}
     while i < len(lines):
         ln, toks = lines[i]
         key = toks[0]
         if key in ("agent", "goal_pairs"):
             break
-        if key == "states":
-            states = toks[1:]
-        elif key == "actions":
-            actions = toks[1:]
-        elif key == "noop":
-            noop = toks[1]
-        elif key == "goals":
-            goals = toks[1:]
+        if key in ("states", "actions", "noop", "goals"):
+            _once(seen, key, ln, f"key '{key}'")
+            fields[key] = toks[1:]
         elif key == "cost":
-            costs[toks[1]] = float(toks[2])
+            _once(seen, ("cost", toks[1]), ln, f"cost for action '{toks[1]}'")
+            costs[toks[1]] = _number(toks[2], ln)
         elif key == "trans":
             if ":" not in toks:
                 raise ModelFormatError(f"line {ln}: trans row missing ':'")
@@ -88,11 +102,14 @@ def _parse_agent_block(lines, i, expected_index):
             pairs = toks[sep + 1 :]
             if len(pairs) % 2 != 0:
                 raise ModelFormatError(f"line {ln}: trans row has dangling token")
-            row = [(pairs[j], float(pairs[j + 1])) for j in range(0, len(pairs), 2)]
+            _once(seen, ("trans", toks[1], toks[2]), ln, f"trans {toks[1]} {toks[2]}")
+            row = [(pairs[j], _number(pairs[j + 1], ln)) for j in range(0, len(pairs), 2)]
             trans_rows.append((ln, toks[1], toks[2], row))
         else:
             raise ModelFormatError(f"line {ln}: unknown key '{key}' in agent block")
         i += 1
+    states, actions, goals = (fields.get(k, []) for k in ("states", "actions", "goals"))
+    noop: Optional[str] = fields["noop"][0] if "noop" in fields else None
     if not states or not actions:
         raise ModelFormatError(f"agent {expected_index}: states and actions are required")
     sidx = {s: k for k, s in enumerate(states)}
@@ -146,16 +163,19 @@ def parse_model(text: str) -> DecMdpCom:
     horizon = None
     comm_cost = None
     initial = None
+    seen: dict = {}
     i = 0
     while i < len(lines):
         ln, toks = lines[i]
         key = toks[0]
+        if key in ("model", "horizon", "comm_cost", "initial"):
+            _once(seen, key, ln, f"key '{key}'")
         if key == "model":
             name = toks[1]
         elif key == "horizon":
             horizon = int(toks[1])
         elif key == "comm_cost":
-            comm_cost = float(toks[1])
+            comm_cost = _number(toks[1], ln)
         elif key == "initial":
             initial = (toks[1], toks[2])
         elif key == "agent":
@@ -214,6 +234,9 @@ def _fmt(x: float) -> str:
 
 def serialize_model(m: DecMdpCom) -> str:
     """Canonical text form of a joint model, stable under reparsing."""
+    for attr in ("potential", "extra_reward"):
+        if getattr(m, attr) is not None:
+            raise ValueError(f"model {m.name!r} has a {attr}, which the text format cannot write")
     out = [f"model {m.name}", f"horizon {m.horizon}", f"comm_cost {_fmt(m.comm_cost)}"]
     a1, a2 = m.agent1, m.agent2
     lbl1 = a1.state_labels or tuple(str(i) for i in range(a1.n_states))
@@ -252,7 +275,8 @@ def serialize_model(m: DecMdpCom) -> str:
 
 
 def models_equal(m1: DecMdpCom, m2: DecMdpCom) -> bool:
-    """Structural equality of everything the text format represents."""
+    """Structural equality of everything the text format represents; the
+    potential and extra reward it cannot represent must be the same objects."""
     def labels(a: AgentModel):
         return a.state_labels or tuple(str(i) for i in range(a.n_states))
 
@@ -276,8 +300,10 @@ def models_equal(m1: DecMdpCom, m2: DecMdpCom) -> bool:
         and agents_equal(m1.agent2, m2.agent2)
         and m1.comm_cost == m2.comm_cost
         and m1.horizon == m2.horizon
-        and m1.initial_state[:2] == m2.initial_state[:2]
+        and m1.initial_state == m2.initial_state
         and m1.name == m2.name
+        and m1.potential is m2.potential
+        and m1.extra_reward is m2.extra_reward
     ):
         return False
     for i in range(m1.agent1.n_states):

@@ -290,14 +290,15 @@ def msbpi(
     """Policy iteration: evaluate, sweep all (s, t) for improvements against
     the frozen value table, apply the updates, and repeat until no cell
     changes.  The default initial mechanism communicates immediately
-    everywhere."""
+    everywhere; it is valued in closed form, and its pair table is built
+    only once a sweep has updates to apply or the search returns."""
     problems = [v for v in validate(m) if not v.startswith("warning:")]
     if problems:
         raise ValueError("; ".join(problems))
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
     if initial_delta is None:
-        pairs = immediate_comm_pairs(m)
+        pairs = None  # built on first use: the sweeps read only V
         V = _evaluate_immediate_comm(m)
     else:
         pairs = dict(initial_delta.pairs)
@@ -329,6 +330,8 @@ def msbpi(
         sweep_nodes.append(counter[0])
         if not updates:
             break
+        if pairs is None:
+            pairs = immediate_comm_pairs(m)
         pairs.update(updates)
         V = _evaluate_pairs(pairs, m)
         iterations += 1
@@ -343,7 +346,7 @@ def msbpi(
             }
         )
     return GeneralMechanism(
-        pairs=pairs,
+        pairs=pairs if pairs is not None else immediate_comm_pairs(m),
         value=V,
         iterations=iterations,
         nodes_created=sum(sweep_nodes),

@@ -1,12 +1,13 @@
-"""Myopic-greedy communication planning over fixed action policies.
+"""Myopic-greedy communication timing on the meeting grid.
 
-Given the two agents' communication-free policies, this layer scores when a
-single exchange is worth its cost: theta_nc is the expected cost to the
-global goal with no exchange at all, theta_c the expected cost when the
-agents exchange once at a given time and then continue silently.  The
-meeting-on-a-grid case collapses to Manhattan distances, where theta_nc has
-a closed form and the exchange-time table for each starting distance follows
-from an exact evolution of the remaining distances.
+The paper scores when a single exchange is worth its cost by comparing
+theta_nc, the expected cost to the global goal with no exchange at all, with
+theta_c, the expected cost when the agents exchange once at a given time and
+then continue silently.  On the meeting grid both collapse to Manhattan
+distances: theta_nc_meeting is the closed-form no-exchange cost, and the
+exchange-time table for each starting distance follows from an exact
+evolution of the remaining distances.  The generic theta_nc and theta_c on
+any joint model are test oracles (tests/oracles.py).
 
 Units in this module are system time steps: every step while the goal is
 unmet costs 1, so a joint utility that charges each of the two agents per
@@ -15,36 +16,9 @@ step is twice these values, and an exchange cost C is C/2 here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
-
-from .model import DecMdpCom, FactoredState
-
-
-@dataclass(eq=False)
-class FixedLocalPolicies:
-    """The pair of given communication-free action policies.
-
-    Each policy may be a LocalGoalPolicy, a callable (state, time) -> action,
-    or an integer array (stationary if 1-D, time-major if 2-D).
-    """
-
-    policy1: object
-    policy2: object
-
-    def action(self, agent: int, s: int, t: int) -> int:
-        pol = self.policy1 if agent == 1 else self.policy2
-        if hasattr(pol, "action_at"):
-            return pol.action_at(s, t)
-        if callable(pol):
-            return int(pol(s, t))
-        arr = np.asarray(pol)
-        if arr.ndim == 1:
-            return int(arr[s])
-        return int(arr[min(t, arr.shape[0] - 1), s])
+from typing import Dict, Optional, Tuple
 
 
 @dataclass
@@ -68,162 +42,6 @@ class CommPolicy:
         for d, t in self.times.items():
             if t < 1:
                 raise ValueError(f"exchange time for distance {d} must be >= 1, got {t}")
-
-
-def _require_time(s: FactoredState) -> int:
-    if s.t is None:
-        raise ValueError("state must carry a time stamp")
-    return s.t
-
-
-def theta_nc(
-    m: DecMdpCom,
-    s0: FactoredState,
-    policies: FixedLocalPolicies,
-    _memo: Optional[dict] = None,
-) -> float:
-    """Expected accumulated reward to the global goal with no exchanges,
-    following the fixed policies; truncated at the horizon."""
-    memo = _memo if _memo is not None else {}
-    t0 = s0.t if s0.t is not None else 0
-
-    def rec(s1: int, s2: int, t: int) -> float:
-        if m.is_goal(s1, s2):
-            return 0.0
-        if t >= m.horizon:
-            return 0.0
-        key = (s1, s2, t)
-        if key in memo:
-            return memo[key]
-        a1 = policies.action(1, s1, t)
-        a2 = policies.action(2, s2, t)
-        row1 = m.agent1.transition[s1, a1]
-        row2 = m.agent2.transition[s2, a2]
-        total = 0.0
-        for q1 in np.nonzero(row1 > 0.0)[0]:
-            for q2 in np.nonzero(row2 > 0.0)[0]:
-                p = row1[q1] * row2[q2]
-                r = m.step_reward(s1, s2, a1, a2, int(q1), int(q2))
-                total += p * (r + rec(int(q1), int(q2), t + 1))
-        memo[key] = total
-        return total
-
-    return rec(s0.s1, s0.s2, t0)
-
-
-def pbar(
-    m: DecMdpCom,
-    s: FactoredState,
-    s_next: FactoredState,
-    policies: FixedLocalPolicies,
-    _memo: Optional[dict] = None,
-) -> float:
-    """Probability of reaching the time-stamped state s_next from s under
-    the fixed policies: 1 on identity, a single joint transition one step
-    ahead, 0 for earlier times, and a one-step chaining sum beyond."""
-    t = _require_time(s)
-    t_next = _require_time(s_next)
-    if s == s_next:
-        return 1.0
-    a1 = policies.action(1, s.s1, t)
-    a2 = policies.action(2, s.s2, t)
-    row1 = m.agent1.transition[s.s1, a1]
-    row2 = m.agent2.transition[s.s2, a2]
-    if t_next == t + 1:
-        return float(row1[s_next.s1] * row2[s_next.s2])
-    if t_next < t + 1:
-        return 0.0
-    memo = _memo if _memo is not None else {}
-    key = (s.s1, s.s2, t)
-    if key in memo:
-        return memo[key]
-    total = 0.0
-    for q1 in np.nonzero(row1 > 0.0)[0]:
-        for q2 in np.nonzero(row2 > 0.0)[0]:
-            p = row1[q1] * row2[q2]
-            mid = FactoredState(int(q1), int(q2), t + 1)
-            total += p * pbar(m, mid, s_next, policies, memo)
-    memo[key] = total
-    return total
-
-
-def rbar(
-    m: DecMdpCom,
-    s0: FactoredState,
-    s: FactoredState,
-    policies: FixedLocalPolicies,
-) -> float:
-    """Expected reward accumulated moving from s0 to s under the policies,
-    conditioned on actually arriving at s; 0 when s is unreachable."""
-    t0 = _require_time(s0)
-    t = _require_time(s)
-    if t <= t0:
-        raise ValueError(f"target time {t} must exceed start time {t0}")
-    cur: Dict[Tuple[int, int], list] = {(s0.s1, s0.s2): [1.0, 0.0]}
-    for tau in range(t0, t):
-        nxt: Dict[Tuple[int, int], list] = {}
-        for (s1, s2), (mu, rho) in cur.items():
-            a1 = policies.action(1, s1, tau)
-            a2 = policies.action(2, s2, tau)
-            row1 = m.agent1.transition[s1, a1]
-            row2 = m.agent2.transition[s2, a2]
-            for q1 in np.nonzero(row1 > 0.0)[0]:
-                for q2 in np.nonzero(row2 > 0.0)[0]:
-                    p = row1[q1] * row2[q2]
-                    r = m.step_reward(s1, s2, a1, a2, int(q1), int(q2))
-                    cell = nxt.setdefault((int(q1), int(q2)), [0.0, 0.0])
-                    cell[0] += mu * p
-                    cell[1] += rho * p + mu * p * r
-        cur = nxt
-    cell = cur.get((s.s1, s.s2))
-    if cell is None or cell[0] <= 0.0:
-        return 0.0
-    return cell[1] / cell[0]
-
-
-def theta_c(
-    m: DecMdpCom,
-    s0: FactoredState,
-    s: FactoredState,
-    policies: FixedLocalPolicies,
-) -> float:
-    """Expected cost when the agents exchange exactly once at the revealed
-    state s (one local component of s given, the other summed out), then
-    continue without communicating.  The exchange cost is waived for
-    branches whose endpoint already is the global goal."""
-    t = _require_time(s)
-    t0 = s0.t if s0.t is not None else 0
-    if t < 1:
-        raise ValueError(f"exchange time must be at least 1, got {t}")
-    if (s.s1 is None) == (s.s2 is None):
-        raise ValueError("exactly one local component of s must be given")
-    elapsed = t - t0
-    # marginal occupancy of the hidden agent after the elapsed steps
-    if s.s1 is None:
-        hidden_agent, hidden_idx, start = m.agent1, 1, s0.s1
-    else:
-        hidden_agent, hidden_idx, start = m.agent2, 2, s0.s2
-    row = np.zeros(hidden_agent.n_states)
-    row[start] = 1.0
-    for j in range(elapsed):
-        acts = [
-            policies.action(hidden_idx, q, t0 + j)
-            for q in range(hidden_agent.n_states)
-        ]
-        step = hidden_agent.transition[np.arange(hidden_agent.n_states), acts]
-        row = row @ step
-    memo: dict = {}
-    total = 0.0
-    for q in np.nonzero(row > 0.0)[0]:
-        if s.s1 is None:
-            joint = FactoredState(int(q), s.s2, t)
-        else:
-            joint = FactoredState(s.s1, int(q), t)
-        flag = 0.0 if m.is_goal(joint.s1, joint.s2) else 1.0
-        r = rbar(m, s0, joint, policies)
-        cont = theta_nc(m, joint, policies, _memo=memo)
-        total += row[q] * (r + cont + m.comm_cost * flag)
-    return total
 
 
 @lru_cache(maxsize=None)

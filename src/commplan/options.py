@@ -1,4 +1,4 @@
-"""Policy trees, options, and the multi-step transition/reward kernels.
+"""Policy trees, options, and the one forward kernel over a pair's execution.
 
 A policy tree maps (local state, depth) to either a domain action or the
 communication act; branches are indexed by the states an agent may observe,
@@ -6,16 +6,18 @@ so the map form and the explicit tree form are interchangeable.  An option is
 a policy tree whose every maximal branch ends with communication or exactly
 at the horizon.
 
-The kernels aggregate the joint process between exchanges: the probability
-that the first exchange happens after exactly N steps in each global state,
-and the expected reward accumulated on the way.  A communicating agent's
-state freezes for that step and it executes no domain action; the other
-agent's concurrent domain action does execute; the exchange itself is charged
-once at the pair level, and not at all when it falls exactly at the horizon.
+The forward kernel aggregates the joint process between exchanges: per
+elapsed step, the mass and accumulated reward of the branches whose first
+exchange fires then, and of the branches that run out of tree.  A
+communicating agent's state freezes for that step and it executes no domain
+action; the other agent's concurrent domain action does execute; the
+exchange itself is charged once at the pair level, and not at all when it
+falls exactly at the horizon.
 
-One level function advances a pair's running cells by one step.
-pair_forward loops it from the root; the tree-pair search calls it directly
-to extend a node by its new deepest level.
+_forward_level advances a pair's running cells by one step.  pair_forward
+loops it from the root, the tree-pair search extends a node by its new
+deepest level with it, and LGO's per-cell window scores run it on goal
+policies.  The paper's P_N and R_N are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -66,21 +68,14 @@ class PolicyTree:
         return hash((self.root_state, tuple(sorted(self.assignment.items()))))
 
 
-def tree_size(tree: PolicyTree) -> int:
-    """Number of action levels; a lone root action is size 1."""
-    return tree.size
-
-
-def live_levels(tree: PolicyTree, agent: AgentModel, max_depth: Optional[int] = None):
+def live_levels(tree: PolicyTree, agent: AgentModel):
     """Per-depth sets of reachable states that have not communicated yet.
 
     live[d] holds the states at depth d whose branch took only domain actions
-    at depths < d.  The list stops after the tree's deepest level (or
-    max_depth when given).
+    at depths < d.  The list stops after the tree's deepest level.
     """
-    limit = tree.size if max_depth is None else min(tree.size, max_depth)
     live = [{tree.root_state}]
-    for d in range(limit):
+    for d in range(tree.size):
         nxt = set()
         for s in live[d]:
             a = tree.action_at(s, d)
@@ -93,167 +88,7 @@ def live_levels(tree: PolicyTree, agent: AgentModel, max_depth: Optional[int] = 
 
 def live_frontier(tree: PolicyTree, agent: AgentModel) -> set:
     """States at the tree's deepest level still awaiting an assignment."""
-    levels = live_levels(tree, agent)
-    return levels[-1] if levels else set()
-
-
-def validate_tree(tree: PolicyTree, agent: AgentModel, max_size: Optional[int] = None) -> list:
-    """Well-formedness violations: missing root, holes, or size overflow.
-
-    Walks reachability itself so an out-of-range action is reported rather
-    than expanded.
-    """
-    out = []
-    if tree.action_at(tree.root_state, 0) is None:
-        out.append(f"root state {tree.root_state} has no action at depth 0")
-        return out
-    size = tree.size
-    if max_size is not None and size > max_size:
-        out.append(f"tree size {size} exceeds bound {max_size}")
-    live = {tree.root_state}
-    for d in range(size):
-        nxt = set()
-        for s in sorted(live):
-            a = tree.action_at(s, d)
-            if a is None:
-                if d < size - 1:
-                    out.append(f"reachable node (state {s}, depth {d}) has no action")
-                continue
-            if a == COMMUNICATE:
-                continue
-            if not (0 <= a < agent.n_actions):
-                out.append(f"node (state {s}, depth {d}) has invalid action {a}")
-                continue
-            nxt.update(int(q) for q in agent.successors(s, a))
-        live = nxt
-    return out
-
-
-def is_option(tree: PolicyTree, agent: AgentModel, remaining_horizon: int) -> bool:
-    """True when every branch ends with communication or exactly at the horizon."""
-    if validate_tree(tree, agent):
-        return False
-    size = tree.size
-    if size > remaining_horizon:
-        return False
-    frontier = live_frontier(tree, agent)
-    if frontier and size < remaining_horizon:
-        return False
-    # branches must not dangle mid-tree
-    levels = live_levels(tree, agent)
-    for d in range(size):
-        for s in levels[d]:
-            if tree.action_at(s, d) is None:
-                return False
-    return True
-
-
-def expected_cost_g(tree: PolicyTree, agent: AgentModel, action_cost) -> float:
-    """Expected accumulated domain-action cost of following the tree alone.
-
-    Communication leaves contribute nothing here; the exchange is charged
-    once per pair by the joint kernels.
-    """
-    costs = action_cost
-    if not callable(costs):
-        lookup = costs.__getitem__
-    else:
-        lookup = costs
-    memo: Dict[Tuple[int, int], float] = {}
-
-    def g(s: int, d: int) -> float:
-        key = (s, d)
-        if key in memo:
-            return memo[key]
-        a = tree.action_at(s, d)
-        if a is None or a == COMMUNICATE:
-            memo[key] = 0.0
-            return 0.0
-        row = agent.transition[s, a]
-        total = float(lookup(a))
-        for q in np.nonzero(row > 0.0)[0]:
-            total += row[q] * g(int(q), d + 1)
-        memo[key] = total
-        return total
-
-    return g(tree.root_state, 0)
-
-
-def p_terminate(
-    opt: PolicyTree, agent: AgentModel, s_i: int, t: int, N: int
-) -> np.ndarray:
-    """Probability vector of the option communicating exactly N steps ahead.
-
-    Entry s' is the probability of the first (and only) communication act
-    firing at step N with the agent in local state s'.
-    """
-    if N <= 0:
-        raise ValueError(f"N must be positive, got {N}")
-    n = agent.n_states
-    term = np.zeros(n)
-    alive = {s_i: 1.0}
-    for j in range(1, N + 1):
-        nxt: Dict[int, float] = {}
-        for s, mass in alive.items():
-            a = opt.action_at(s, j - 1)
-            if a is None:
-                continue  # frontier branch, never communicates
-            if a == COMMUNICATE:
-                if j == N:
-                    term[s] += mass
-                continue  # communicated before N: excluded
-            row = agent.transition[s, a]
-            for q in np.nonzero(row > 0.0)[0]:
-                nxt[int(q)] = nxt.get(int(q), 0.0) + mass * row[q]
-        alive = nxt
-    return term
-
-
-def p_reach(opt: PolicyTree, agent: AgentModel, s_i: int, t: int, N: int) -> np.ndarray:
-    """Probability vector of occupying each local state N steps ahead without
-    having communicated strictly earlier; communicating exactly at step N
-    freezes the agent in place and still counts as reached."""
-    if N <= 0:
-        raise ValueError(f"N must be positive, got {N}")
-    n = agent.n_states
-    alive = {s_i: 1.0}
-    for j in range(1, N):
-        nxt: Dict[int, float] = {}
-        for s, mass in alive.items():
-            a = opt.action_at(s, j - 1)
-            if a is None or a == COMMUNICATE:
-                continue  # branch over or terminated before step N
-            row = agent.transition[s, a]
-            for q in np.nonzero(row > 0.0)[0]:
-                nxt[int(q)] = nxt.get(int(q), 0.0) + mass * row[q]
-        alive = nxt
-    out = np.zeros(n)
-    for s, mass in alive.items():
-        a = opt.action_at(s, N - 1)
-        if a is None or a == COMMUNICATE:
-            out[s] += mass  # frozen in place for the final step
-            continue
-        row = agent.transition[s, a]
-        out += mass * row
-    return out
-
-
-def joint_pn(
-    opt1: PolicyTree,
-    opt2: PolicyTree,
-    m: DecMdpCom,
-    s: FactoredState,
-    t: int,
-    N: int,
-) -> np.ndarray:
-    """Probability, per global state, that the pair's first exchange happens
-    after exactly N steps: at least one agent communicates at step N and
-    neither communicated earlier."""
-    p1t = p_terminate(opt1, m.agent1, s.s1, t, N)
-    p2t = p_terminate(opt2, m.agent2, s.s2, t, N)
-    p1r = p_reach(opt1, m.agent1, s.s1, t, N)
-    p2r = p_reach(opt2, m.agent2, s.s2, t, N)
-    return np.outer(p1t, p2r) + np.outer(p1r, p2t) - np.outer(p1t, p2t)
+    return live_levels(tree, agent)[-1]
 
 
 class _Successors(dict):
@@ -353,31 +188,6 @@ def pair_forward(
     return term, stopped
 
 
-def joint_rn(
-    opt1: PolicyTree,
-    opt2: PolicyTree,
-    m: DecMdpCom,
-    s: FactoredState,
-    t: int,
-    s_next: FactoredState,
-    N: int,
-) -> float:
-    """Expected reward of the window given the first exchange lands in s_next
-    after exactly N steps: the conditional accumulated reward plus the
-    exchange cost, which is waived when the window ends at the horizon."""
-    if N <= 0:
-        raise ValueError(f"N must be positive, got {N}")
-    term, _ = pair_forward(opt1, opt2, m, s, t)
-    cell = term.get(N, {}).get((s_next.s1, s_next.s2))
-    if cell is None or cell[0] <= 0.0:
-        return 0.0
-    mass, reward = cell
-    cbar = reward / mass
-    if t + N == m.horizon:
-        return cbar
-    return cbar + m.comm_cost
-
-
 def joint_f_value(
     opt1: PolicyTree,
     opt2: PolicyTree,
@@ -404,26 +214,3 @@ def joint_f_value(
         for (s1, s2), (mu, rho) in cells.items():
             total += rho + mu * V[t + j, s1, s2]
     return total
-
-
-def tree_to_text(tree: PolicyTree, agent: AgentModel) -> str:
-    """Indented debug rendering: one node per line as 'state action'."""
-    lines = []
-
-    def label(a: Optional[int]) -> str:
-        if a is None:
-            return "."
-        if a == COMMUNICATE:
-            return "comm"
-        return str(agent.actions[a])
-
-    def rec(s: int, d: int, indent: int):
-        a = tree.action_at(s, d)
-        lines.append("  " * indent + f"{agent.state_label(s)} {label(a)}")
-        if a is None or a == COMMUNICATE:
-            return
-        for q in agent.successors(s, a):
-            rec(int(q), d + 1, indent + 1)
-
-    rec(tree.root_state, 0, 0)
-    return "\n".join(lines) + "\n"

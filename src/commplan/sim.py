@@ -323,22 +323,6 @@ def monte_carlo(cfg: SimConfig) -> SimResult:
     )
 
 
-def welch_ttest(a: SimResult, b: SimResult) -> Tuple[float, float]:
-    """Two-sample t statistic and p-value without equal-variance assumption."""
-    from scipy import stats
-
-    res = stats.ttest_ind_from_stats(
-        a.mean_utility,
-        math.sqrt(a.variance),
-        a.episodes,
-        b.mean_utility,
-        math.sqrt(b.variance),
-        b.episodes,
-        equal_var=False,
-    )
-    return float(res.statistic), float(res.pvalue)
-
-
 def results_csv(rows: Sequence[Tuple[str, str, str, SimResult]]) -> str:
     """One row per (domain, strategy, parameter) batch."""
     lines = ["domain,strategy,param,mean_utility,variance,mean_comm,mean_steps,episodes,seed"]

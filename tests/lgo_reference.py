@@ -3,9 +3,10 @@
 This is the planner as it was before the assignment table became arrays:
 a dict (s1, s2, t) -> GoalAssignment, an evaluator that groups cells by
 assignment key and rebuilds every candidate product from scratch, a final
-evaluation after convergence, and a sorted CSV export.  The window kernels
-(_WindowCache, _window_forward, _phi_matrix) are shared with the library;
-what this module pins down is the table bookkeeping, the sweep order and the
+evaluation after convergence, and a sorted CSV export.  The matrix window
+kernels (_WindowCache, _phi_matrix) are shared with the library; the
+per-cell window walk (_window_forward) is a frozen copy, independent of the
+library's forward kernel.  What this module pins down is the table bookkeeping, the sweep order and the
 summation order of each candidate score.  Only the result type differs from
 the original: it is a local ReferenceMechanism, because the library's
 LgoMechanism now holds arrays.
@@ -22,7 +23,6 @@ from commplan.lgo import (
     GoalAssignment,
     LocalGoalPolicy,
     _phi_matrix,
-    _window_forward,
     _WindowCache,
     default_candidates,
 )
@@ -41,6 +41,35 @@ class ReferenceMechanism:
 
     def assignment_at(self, s1: int, s2: int, t: int) -> GoalAssignment:
         return self.assignment[(s1, s2, t)]
+
+
+def _window_forward(
+    m: DecMdpCom,
+    pol1: LocalGoalPolicy,
+    pol2: LocalGoalPolicy,
+    s: FactoredState,
+    t: int,
+    k: int,
+) -> Dict[Tuple[int, int], list]:
+    """Joint mass and accumulated reward over a k-step no-exchange window."""
+    cur: Dict[Tuple[int, int], list] = {(s.s1, s.s2): [1.0, 0.0]}
+    for j in range(k):
+        tau = t + j
+        nxt: Dict[Tuple[int, int], list] = {}
+        for (s1, s2), (mu, rho) in cur.items():
+            a1 = pol1.action_at(s1, tau)
+            a2 = pol2.action_at(s2, tau)
+            row1 = m.agent1.transition[s1, a1]
+            row2 = m.agent2.transition[s2, a2]
+            for q1 in np.nonzero(row1 > 0.0)[0]:
+                for q2 in np.nonzero(row2 > 0.0)[0]:
+                    p = row1[q1] * row2[q2]
+                    r = m.step_reward(s1, s2, a1, a2, int(q1), int(q2))
+                    cell = nxt.setdefault((int(q1), int(q2)), [0.0, 0.0])
+                    cell[0] += mu * p
+                    cell[1] += rho * p + mu * p * r
+        cur = nxt
+    return cur
 
 
 def _f_matrix(

@@ -1,0 +1,526 @@
+"""The paper's named quantities, kept as test oracles.
+
+Goldman & Zilberstein define these quantities to build and analyze the
+mechanisms; the planners compute what they need through other kernels, so
+the definitions live here and are checked against those kernels:
+
+- p_terminate, p_reach, joint_pn, joint_rn (P_N and R_N of a tree pair),
+  expected_cost_g, validate_tree and is_option check the policy-tree kernels
+  in commplan.options (pair_forward, joint_f_value, live_levels,
+  live_frontier) and the options MSBPI returns.
+- png and rng (P_N and R_N of a goal assignment) check the window
+  propagators behind commplan.lgo's layer scores; delta_independence is the
+  interference bound on LGO's loss.
+- FixedLocalPolicies, theta_nc, pbar, rbar and theta_c are the generic
+  myopic quantities on any joint model.  They check the closed-form meeting
+  recursion and the exchange-time table in commplan.myopic.  They read time
+  stamps from TimedState; a model state (a plain pair) is taken at time 0.
+- welch_ttest compares two Monte-Carlo batches from commplan.sim.
+
+Bodies are as they were in the library, except that the myopic ones read
+time stamps through _stamp, since model states no longer carry one.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
+
+from commplan.lgo import GoalAssignment, _step_matrix
+from commplan.model import AgentModel, DecMdpCom, FactoredState
+from commplan.options import (
+    COMMUNICATE,
+    PolicyTree,
+    live_frontier,
+    live_levels,
+    pair_forward,
+)
+from commplan.sim import SimResult
+from lgo_reference import _window_forward
+
+
+class TimedState(NamedTuple):
+    """A global state as a pair of local state indices, optionally stamped with time."""
+
+    s1: int
+    s2: int
+    t: Optional[int] = None
+
+
+# ---------------------------------------------------------------------------
+# policy trees and tree-pair windows
+
+
+def validate_tree(tree: PolicyTree, agent: AgentModel, max_size: Optional[int] = None) -> list:
+    """Well-formedness violations: missing root, holes, or size overflow.
+
+    Walks reachability itself so an out-of-range action is reported rather
+    than expanded.
+    """
+    out = []
+    if tree.action_at(tree.root_state, 0) is None:
+        out.append(f"root state {tree.root_state} has no action at depth 0")
+        return out
+    size = tree.size
+    if max_size is not None and size > max_size:
+        out.append(f"tree size {size} exceeds bound {max_size}")
+    live = {tree.root_state}
+    for d in range(size):
+        nxt = set()
+        for s in sorted(live):
+            a = tree.action_at(s, d)
+            if a is None:
+                if d < size - 1:
+                    out.append(f"reachable node (state {s}, depth {d}) has no action")
+                continue
+            if a == COMMUNICATE:
+                continue
+            if not (0 <= a < agent.n_actions):
+                out.append(f"node (state {s}, depth {d}) has invalid action {a}")
+                continue
+            nxt.update(int(q) for q in agent.successors(s, a))
+        live = nxt
+    return out
+
+
+def is_option(tree: PolicyTree, agent: AgentModel, remaining_horizon: int) -> bool:
+    """True when every branch ends with communication or exactly at the horizon."""
+    if validate_tree(tree, agent):
+        return False
+    size = tree.size
+    if size > remaining_horizon:
+        return False
+    frontier = live_frontier(tree, agent)
+    if frontier and size < remaining_horizon:
+        return False
+    # branches must not dangle mid-tree
+    levels = live_levels(tree, agent)
+    for d in range(size):
+        for s in levels[d]:
+            if tree.action_at(s, d) is None:
+                return False
+    return True
+
+
+def expected_cost_g(tree: PolicyTree, agent: AgentModel, action_cost) -> float:
+    """Expected accumulated domain-action cost of following the tree alone.
+
+    Communication leaves contribute nothing here; the exchange is charged
+    once per pair by the joint kernels.
+    """
+    costs = action_cost
+    if not callable(costs):
+        lookup = costs.__getitem__
+    else:
+        lookup = costs
+    memo: Dict[Tuple[int, int], float] = {}
+
+    def g(s: int, d: int) -> float:
+        key = (s, d)
+        if key in memo:
+            return memo[key]
+        a = tree.action_at(s, d)
+        if a is None or a == COMMUNICATE:
+            memo[key] = 0.0
+            return 0.0
+        row = agent.transition[s, a]
+        total = float(lookup(a))
+        for q in np.nonzero(row > 0.0)[0]:
+            total += row[q] * g(int(q), d + 1)
+        memo[key] = total
+        return total
+
+    return g(tree.root_state, 0)
+
+
+def p_terminate(
+    opt: PolicyTree, agent: AgentModel, s_i: int, t: int, N: int
+) -> np.ndarray:
+    """Probability vector of the option communicating exactly N steps ahead.
+
+    Entry s' is the probability of the first (and only) communication act
+    firing at step N with the agent in local state s'.
+    """
+    if N <= 0:
+        raise ValueError(f"N must be positive, got {N}")
+    n = agent.n_states
+    term = np.zeros(n)
+    alive = {s_i: 1.0}
+    for j in range(1, N + 1):
+        nxt: Dict[int, float] = {}
+        for s, mass in alive.items():
+            a = opt.action_at(s, j - 1)
+            if a is None:
+                continue  # frontier branch, never communicates
+            if a == COMMUNICATE:
+                if j == N:
+                    term[s] += mass
+                continue  # communicated before N: excluded
+            row = agent.transition[s, a]
+            for q in np.nonzero(row > 0.0)[0]:
+                nxt[int(q)] = nxt.get(int(q), 0.0) + mass * row[q]
+        alive = nxt
+    return term
+
+
+def p_reach(opt: PolicyTree, agent: AgentModel, s_i: int, t: int, N: int) -> np.ndarray:
+    """Probability vector of occupying each local state N steps ahead without
+    having communicated strictly earlier; communicating exactly at step N
+    freezes the agent in place and still counts as reached."""
+    if N <= 0:
+        raise ValueError(f"N must be positive, got {N}")
+    n = agent.n_states
+    alive = {s_i: 1.0}
+    for j in range(1, N):
+        nxt: Dict[int, float] = {}
+        for s, mass in alive.items():
+            a = opt.action_at(s, j - 1)
+            if a is None or a == COMMUNICATE:
+                continue  # branch over or terminated before step N
+            row = agent.transition[s, a]
+            for q in np.nonzero(row > 0.0)[0]:
+                nxt[int(q)] = nxt.get(int(q), 0.0) + mass * row[q]
+        alive = nxt
+    out = np.zeros(n)
+    for s, mass in alive.items():
+        a = opt.action_at(s, N - 1)
+        if a is None or a == COMMUNICATE:
+            out[s] += mass  # frozen in place for the final step
+            continue
+        row = agent.transition[s, a]
+        out += mass * row
+    return out
+
+
+def joint_pn(
+    opt1: PolicyTree,
+    opt2: PolicyTree,
+    m: DecMdpCom,
+    s: FactoredState,
+    t: int,
+    N: int,
+) -> np.ndarray:
+    """Probability, per global state, that the pair's first exchange happens
+    after exactly N steps: at least one agent communicates at step N and
+    neither communicated earlier."""
+    p1t = p_terminate(opt1, m.agent1, s.s1, t, N)
+    p2t = p_terminate(opt2, m.agent2, s.s2, t, N)
+    p1r = p_reach(opt1, m.agent1, s.s1, t, N)
+    p2r = p_reach(opt2, m.agent2, s.s2, t, N)
+    return np.outer(p1t, p2r) + np.outer(p1r, p2t) - np.outer(p1t, p2t)
+
+
+def joint_rn(
+    opt1: PolicyTree,
+    opt2: PolicyTree,
+    m: DecMdpCom,
+    s: FactoredState,
+    t: int,
+    s_next: FactoredState,
+    N: int,
+) -> float:
+    """Expected reward of the window given the first exchange lands in s_next
+    after exactly N steps: the conditional accumulated reward plus the
+    exchange cost, which is waived when the window ends at the horizon."""
+    if N <= 0:
+        raise ValueError(f"N must be positive, got {N}")
+    term, _ = pair_forward(opt1, opt2, m, s, t)
+    cell = term.get(N, {}).get((s_next.s1, s_next.s2))
+    if cell is None or cell[0] <= 0.0:
+        return 0.0
+    mass, reward = cell
+    cbar = reward / mass
+    if t + N == m.horizon:
+        return cbar
+    return cbar + m.comm_cost
+
+
+# ---------------------------------------------------------------------------
+# goal-assignment windows
+
+
+def png(
+    assignment: GoalAssignment,
+    m: DecMdpCom,
+    s: FactoredState,
+    t: int,
+    k: int,
+) -> np.ndarray:
+    """Distribution over global states after k steps under the assigned
+    policies; the exchange happens after the window regardless, so there is
+    no early termination inside it."""
+    if k <= 0:
+        raise ValueError(f"window length must be positive, got {k}")
+    if t + k > m.horizon:
+        raise ValueError(f"window [{t}, {t + k}) runs past the horizon {m.horizon}")
+    row1 = np.zeros(m.agent1.n_states)
+    row1[s.s1] = 1.0
+    row2 = np.zeros(m.agent2.n_states)
+    row2[s.s2] = 1.0
+    for j in range(k):
+        row1 = row1 @ _step_matrix(m.agent1, assignment.g1, t + j)
+        row2 = row2 @ _step_matrix(m.agent2, assignment.g2, t + j)
+    return np.outer(row1, row2)
+
+
+def rng(
+    assignment: GoalAssignment,
+    m: DecMdpCom,
+    s: FactoredState,
+    t: int,
+    s_next: FactoredState,
+    k: int,
+) -> float:
+    """Expected window reward conditioned on ending at s_next, plus the
+    exchange cost (always charged; the exchange follows every window)."""
+    if k <= 0:
+        raise ValueError(f"window length must be positive, got {k}")
+    if t + k > m.horizon:
+        raise ValueError(f"window [{t}, {t + k}) runs past the horizon {m.horizon}")
+    cells = _window_forward(m, assignment.g1, assignment.g2, s, t, k)
+    cell = cells.get((s_next.s1, s_next.s2))
+    if cell is None or cell[0] <= 0.0:
+        return 0.0
+    return cell[1] / cell[0] + m.comm_cost
+
+
+def delta_independence(
+    cost_oracle: Callable[[int, int, int, int], float],
+    goals1: Sequence[int],
+    goals2: Sequence[int],
+    states: Sequence[int],
+    T: int,
+) -> Tuple[float, float]:
+    """Worst-case cost interference between the agents' goal pursuits.
+
+    cost_oracle(agent, s, own_goal, other_goal) gives the expected cost agent
+    1 or 2 incurs reaching own_goal from global state s while its partner
+    pursues other_goal.  The interference of one agent is the largest spread,
+    over partner goals, of that cost; the bound on the mechanism's loss from
+    treating goals independently is twice the horizon times the worst spread.
+    """
+
+    def spread(agent: int, own_goals, other_goals) -> float:
+        worst = 0.0
+        for s in states:
+            for g in own_goals:
+                vals = [cost_oracle(agent, s, g, h) for h in other_goals]
+                worst = max(worst, max(vals) - min(vals))
+        return worst
+
+    d1 = spread(1, goals1, goals2)
+    d2 = spread(2, goals2, goals1)
+    delta = max(d1, d2)
+    return delta, 2.0 * T * delta
+
+
+# ---------------------------------------------------------------------------
+# myopic quantities over fixed local policies
+
+
+@dataclass(eq=False)
+class FixedLocalPolicies:
+    """The pair of given communication-free action policies.
+
+    Each policy may be a LocalGoalPolicy, a callable (state, time) -> action,
+    or an integer array (stationary if 1-D, time-major if 2-D).
+    """
+
+    policy1: object
+    policy2: object
+
+    def action(self, agent: int, s: int, t: int) -> int:
+        pol = self.policy1 if agent == 1 else self.policy2
+        if hasattr(pol, "action_at"):
+            return pol.action_at(s, t)
+        if callable(pol):
+            return int(pol(s, t))
+        arr = np.asarray(pol)
+        if arr.ndim == 1:
+            return int(arr[s])
+        return int(arr[min(t, arr.shape[0] - 1), s])
+
+
+def _stamp(s) -> Optional[int]:
+    """The time stamp of a TimedState; a model state is at time 0."""
+    return getattr(s, "t", 0)
+
+
+def _require_time(s: TimedState) -> int:
+    t = _stamp(s)
+    if t is None:
+        raise ValueError("state must carry a time stamp")
+    return t
+
+
+def theta_nc(
+    m: DecMdpCom,
+    s0: TimedState,
+    policies: FixedLocalPolicies,
+    _memo: Optional[dict] = None,
+) -> float:
+    """Expected accumulated reward to the global goal with no exchanges,
+    following the fixed policies; truncated at the horizon."""
+    memo = _memo if _memo is not None else {}
+    t0 = _stamp(s0) or 0
+
+    def rec(s1: int, s2: int, t: int) -> float:
+        if m.is_goal(s1, s2):
+            return 0.0
+        if t >= m.horizon:
+            return 0.0
+        key = (s1, s2, t)
+        if key in memo:
+            return memo[key]
+        a1 = policies.action(1, s1, t)
+        a2 = policies.action(2, s2, t)
+        row1 = m.agent1.transition[s1, a1]
+        row2 = m.agent2.transition[s2, a2]
+        total = 0.0
+        for q1 in np.nonzero(row1 > 0.0)[0]:
+            for q2 in np.nonzero(row2 > 0.0)[0]:
+                p = row1[q1] * row2[q2]
+                r = m.step_reward(s1, s2, a1, a2, int(q1), int(q2))
+                total += p * (r + rec(int(q1), int(q2), t + 1))
+        memo[key] = total
+        return total
+
+    return rec(s0.s1, s0.s2, t0)
+
+
+def pbar(
+    m: DecMdpCom,
+    s: TimedState,
+    s_next: TimedState,
+    policies: FixedLocalPolicies,
+    _memo: Optional[dict] = None,
+) -> float:
+    """Probability of reaching the time-stamped state s_next from s under
+    the fixed policies: 1 on identity, a single joint transition one step
+    ahead, 0 for earlier times, and a one-step chaining sum beyond."""
+    t = _require_time(s)
+    t_next = _require_time(s_next)
+    if s == s_next:
+        return 1.0
+    a1 = policies.action(1, s.s1, t)
+    a2 = policies.action(2, s.s2, t)
+    row1 = m.agent1.transition[s.s1, a1]
+    row2 = m.agent2.transition[s.s2, a2]
+    if t_next == t + 1:
+        return float(row1[s_next.s1] * row2[s_next.s2])
+    if t_next < t + 1:
+        return 0.0
+    memo = _memo if _memo is not None else {}
+    key = (s.s1, s.s2, t)
+    if key in memo:
+        return memo[key]
+    total = 0.0
+    for q1 in np.nonzero(row1 > 0.0)[0]:
+        for q2 in np.nonzero(row2 > 0.0)[0]:
+            p = row1[q1] * row2[q2]
+            mid = TimedState(int(q1), int(q2), t + 1)
+            total += p * pbar(m, mid, s_next, policies, memo)
+    memo[key] = total
+    return total
+
+
+def rbar(
+    m: DecMdpCom,
+    s0: TimedState,
+    s: TimedState,
+    policies: FixedLocalPolicies,
+) -> float:
+    """Expected reward accumulated moving from s0 to s under the policies,
+    conditioned on actually arriving at s; 0 when s is unreachable."""
+    t0 = _require_time(s0)
+    t = _require_time(s)
+    if t <= t0:
+        raise ValueError(f"target time {t} must exceed start time {t0}")
+    cur: Dict[Tuple[int, int], list] = {(s0.s1, s0.s2): [1.0, 0.0]}
+    for tau in range(t0, t):
+        nxt: Dict[Tuple[int, int], list] = {}
+        for (s1, s2), (mu, rho) in cur.items():
+            a1 = policies.action(1, s1, tau)
+            a2 = policies.action(2, s2, tau)
+            row1 = m.agent1.transition[s1, a1]
+            row2 = m.agent2.transition[s2, a2]
+            for q1 in np.nonzero(row1 > 0.0)[0]:
+                for q2 in np.nonzero(row2 > 0.0)[0]:
+                    p = row1[q1] * row2[q2]
+                    r = m.step_reward(s1, s2, a1, a2, int(q1), int(q2))
+                    cell = nxt.setdefault((int(q1), int(q2)), [0.0, 0.0])
+                    cell[0] += mu * p
+                    cell[1] += rho * p + mu * p * r
+        cur = nxt
+    cell = cur.get((s.s1, s.s2))
+    if cell is None or cell[0] <= 0.0:
+        return 0.0
+    return cell[1] / cell[0]
+
+
+def theta_c(
+    m: DecMdpCom,
+    s0: TimedState,
+    s: TimedState,
+    policies: FixedLocalPolicies,
+) -> float:
+    """Expected cost when the agents exchange exactly once at the revealed
+    state s (one local component of s given, the other summed out), then
+    continue without communicating.  The exchange cost is waived for
+    branches whose endpoint already is the global goal."""
+    t = _require_time(s)
+    t0 = _stamp(s0) or 0
+    if t < 1:
+        raise ValueError(f"exchange time must be at least 1, got {t}")
+    if (s.s1 is None) == (s.s2 is None):
+        raise ValueError("exactly one local component of s must be given")
+    elapsed = t - t0
+    # marginal occupancy of the hidden agent after the elapsed steps
+    if s.s1 is None:
+        hidden_agent, hidden_idx, start = m.agent1, 1, s0.s1
+    else:
+        hidden_agent, hidden_idx, start = m.agent2, 2, s0.s2
+    row = np.zeros(hidden_agent.n_states)
+    row[start] = 1.0
+    for j in range(elapsed):
+        acts = [
+            policies.action(hidden_idx, q, t0 + j)
+            for q in range(hidden_agent.n_states)
+        ]
+        step = hidden_agent.transition[np.arange(hidden_agent.n_states), acts]
+        row = row @ step
+    memo: dict = {}
+    total = 0.0
+    for q in np.nonzero(row > 0.0)[0]:
+        if s.s1 is None:
+            joint = TimedState(int(q), s.s2, t)
+        else:
+            joint = TimedState(s.s1, int(q), t)
+        flag = 0.0 if m.is_goal(joint.s1, joint.s2) else 1.0
+        r = rbar(m, s0, joint, policies)
+        cont = theta_nc(m, joint, policies, _memo=memo)
+        total += row[q] * (r + cont + m.comm_cost * flag)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo comparison
+
+
+def welch_ttest(a: SimResult, b: SimResult) -> Tuple[float, float]:
+    """Two-sample t statistic and p-value without equal-variance assumption."""
+    from scipy import stats
+
+    res = stats.ttest_ind_from_stats(
+        a.mean_utility,
+        math.sqrt(a.variance),
+        a.episodes,
+        b.mean_utility,
+        math.sqrt(b.variance),
+        b.episodes,
+        equal_var=False,
+    )
+    return float(res.statistic), float(res.pvalue)

@@ -4,6 +4,8 @@ Each test drives ``main`` with a real argv and inspects exit code, stdout,
 stderr and any file the command wrote.  One test shells out to the
 ``commplan`` script to cover the packaging entry point: the installed script
 when one is on ``PATH``, else the entry point ``pyproject.toml`` declares.
+Another scans the package source for scipy imports, since scipy is only a
+test dependency.
 """
 
 import importlib
@@ -239,3 +241,23 @@ def test_console_script_is_installed():
     proc = subprocess.run(argv + ["--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "plan" in proc.stdout and "simulate" in proc.stdout and "reproduce" in proc.stdout
+
+
+def test_library_does_not_import_scipy():
+    # scipy is declared in the test extra only, so no module of the package
+    # may import it
+    import ast
+
+    import commplan
+
+    found = []
+    for path in sorted(Path(commplan.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []

@@ -27,7 +27,6 @@ from commplan.domains import (
     quota_policy,
     solve_joint_mmdp,
     step_toward,
-    subgoal_strategy,
 )
 from commplan.model import validate
 
@@ -173,7 +172,6 @@ def test_subgoal_strategy_validation():
         SubGoals(0.0)
     with pytest.raises(ValueError, match="fraction"):
         SubGoals(1.5)
-    assert subgoal_strategy(GridConfig(), 0.5) == SubGoals(0.5)
     assert len(SUBGOAL_SWEEP) == 9
     assert all(0.0 < p <= 1.0 for p in SUBGOAL_SWEEP)
 

@@ -16,12 +16,9 @@ from commplan.lgo import (
     LgoMechanism,
     LocalGoalPolicy,
     default_candidates,
-    delta_independence,
     evaluate_lgo,
     lgo_msbpi,
     mechanism_csv,
-    png,
-    rng,
     solve_local_mdp,
 )
 from commplan.model import AgentModel, DecMdpCom, FactoredState
@@ -29,6 +26,7 @@ from commplan.msbpi import msbpi
 from commplan.sim import SimConfig, monte_carlo
 
 from conftest import TOY_GRID, blocked_agent, chain_agent, toy_model
+from oracles import delta_independence, png, rng
 
 GO, WAIT = 0, 1
 

@@ -7,7 +7,6 @@ from commplan.model import (
     AgentModel,
     DecMdpCom,
     FactoredState,
-    joint_transition_prob,
     validate,
 )
 from conftest import chain_agent, toy_model
@@ -15,8 +14,7 @@ from conftest import chain_agent, toy_model
 
 def test_factored_state_fields():
     s = FactoredState(2, 5)
-    assert (s.s1, s.s2, s.t) == (2, 5, None)
-    assert FactoredState(1, 1, 4).t == 4
+    assert (s.s1, s.s2) == (2, 5)
 
 
 def test_agent_model_basics():
@@ -36,20 +34,6 @@ def test_agent_model_violations_flag_bad_rows():
     tr[1, 1, 1] = 1.0
     bad = AgentModel(n_states=2, actions=("a", "b"), transition=tr, name="bad")
     assert bad.violations()
-
-
-def test_joint_transition_prob_is_product_of_rows():
-    m = toy_model(p1=0.7, p2=0.5)
-    p = joint_transition_prob(m, FactoredState(0, 0), 0, 0, FactoredState(1, 1))
-    assert p == pytest.approx(0.7 * 0.5)
-    p = joint_transition_prob(m, FactoredState(0, 0), 0, 1, FactoredState(1, 0))
-    assert p == pytest.approx(0.7 * 1.0)
-
-
-def test_joint_transition_prob_rejects_bad_indices():
-    m = toy_model()
-    with pytest.raises(ValueError):
-        joint_transition_prob(m, FactoredState(0, 0), 5, 0, FactoredState(1, 1))
 
 
 def test_step_reward_sums_costs_potential_and_extra():
@@ -89,8 +73,6 @@ def test_action_cost_none_is_free():
 
 
 def test_goal_mask_matches_predicate():
-    m = toy_model()
-    assert not m.goal_mask().any()
     g = DecMdpCom(
         agent1=chain_agent("a"),
         agent2=chain_agent("b"),
@@ -99,8 +81,6 @@ def test_goal_mask_matches_predicate():
         initial_state=FactoredState(0, 0),
         goal_predicate=lambda s1, s2: s1 == s2 == 1,
     )
-    mask = g.goal_mask()
-    assert mask[1, 1] and mask.sum() == 1
     assert g.is_goal(1, 1) and not g.is_goal(0, 1)
 
 
@@ -120,3 +100,14 @@ def test_validate_warns_on_unreachable_goal():
     # no state satisfies the goal, so reachability must warn
     notes = validate(m)
     assert notes and all(n.startswith("warning:") for n in notes)
+
+
+def test_validate_flags_non_finite_numbers():
+    m = toy_model()
+    m.agent1.transition[0, 0] = [np.nan, 1.0]
+    m.agent2.action_cost[1] = np.inf
+    m.comm_cost = float("nan")
+    notes = validate(m)
+    assert "left: non-finite transition probability at state 0 action go" in notes
+    assert "right: non-finite cost for action wait" in notes
+    assert "comm_cost must be finite, got nan" in notes

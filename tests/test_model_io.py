@@ -109,3 +109,64 @@ def test_serializes_models_built_in_code():
     again = parse_model(serialize_model(m))
     assert models_equal(m, again)
     assert again.is_goal(1, 1)
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("trans s0 move : s0 0.5 s1 0.5", "trans s0 move : s0 nan s1 0.5", 14),
+        ("cost move -1\n  cost stay 0\n  trans s0 move : s0 0.3",
+         "cost move inf\n  cost stay 0\n  trans s0 move : s0 0.3", 21),
+        ("comm_cost -1.0", "comm_cost nan", 4),
+    ],
+    ids=["trans", "cost", "comm_cost"],
+)
+def test_parse_rejects_non_finite_numbers(old, new, line):
+    assert old in SAMPLE
+    with pytest.raises(ModelFormatError, match=f"line {line}: non-finite number"):
+        parse_model(SAMPLE.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, what",
+    [
+        ("horizon 4\n", "horizon 4\nhorizon 9\n", "key 'horizon'"),
+        ("noop stay\n  goals s1\n  cost move -1\n  cost stay 0\n  trans s0 move : s0 0.5",
+         "noop stay\n  noop move\n  goals s1\n  cost move -1\n  cost stay 0\n  trans s0 move : s0 0.5",
+         "key 'noop'"),
+        ("cost stay 0\n  trans s0 move : s0 0.5", "cost stay 0\n  cost move -2\n  trans s0 move : s0 0.5",
+         "cost for action 'move'"),
+        ("trans s0 move : s0 0.5 s1 0.5", "trans s0 move : s0 0.5 s1 0.5\n  trans s0 move : s1 1.0",
+         "trans s0 move"),
+    ],
+    ids=["header", "agent_block", "cost", "trans"],
+)
+def test_parse_rejects_repeated_keys(old, new, what):
+    assert old in SAMPLE
+    with pytest.raises(ModelFormatError, match=f"repeated {what}"):
+        parse_model(SAMPLE.replace(old, new, 1))
+
+
+def test_serialize_rejects_rewards_the_format_cannot_carry():
+    from conftest import toy_model
+
+    with pytest.raises(ValueError, match="extra_reward"):
+        serialize_model(toy_model())
+    m = parse_model(SAMPLE)
+    m.potential = lambda s1, s2: float(s1 + s2)
+    with pytest.raises(ValueError, match="potential"):
+        serialize_model(m)
+
+
+def test_models_equal_requires_the_same_reward_objects():
+    from dataclasses import replace
+
+    from conftest import toy_model
+
+    m = toy_model()
+    assert models_equal(m, replace(m))
+    assert not models_equal(m, replace(m, extra_reward=None))
+    assert not models_equal(m, toy_model())  # an equal bonus, another callable
+    phi = lambda s1, s2: float(s1)  # noqa: E731
+    assert not models_equal(replace(m, potential=phi), m)
+    assert models_equal(replace(m, potential=phi), replace(m, potential=phi))

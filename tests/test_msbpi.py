@@ -8,6 +8,7 @@ two regime: one primitive joint action followed by an exchange reduces to a
 flat backward induction over macro steps.
 """
 
+import importlib
 import itertools
 
 import numpy as np
@@ -25,9 +26,10 @@ from commplan.msbpi import (
     iteration_csv,
     msbpi,
 )
-from commplan.options import COMMUNICATE, PolicyTree, is_option
+from commplan.options import COMMUNICATE, PolicyTree
 
 from conftest import TOY_GRID, chain_agent, toy_model
+from oracles import is_option
 from test_options import expectimax_oracle
 
 
@@ -324,6 +326,20 @@ def test_node_budget_guardrail_on_grid():
     assert DEFAULT_NODE_BUDGET == 10**6
 
 
+def test_budget_stop_builds_no_immediate_exchange_pairs(monkeypatch):
+    # the meeting grid has 2,000,000 (s1, s2, t) cells; a search stopped by
+    # its budget in the first sweep must not pay for their pair table
+    def refuse(m):
+        raise AssertionError("immediate_comm_pairs built before it was needed")
+
+    # the package's msbpi attribute is the function, so patch the module
+    module = importlib.import_module("commplan.msbpi")
+    monkeypatch.setattr(module, "immediate_comm_pairs", refuse)
+    model = build_meeting(GridConfig(p1=0.8, p2=0.8)).model
+    with pytest.raises(NodeBudgetExceeded):
+        msbpi(model, node_budget=10)
+
+
 def test_iteration_csv_shape():
     mech = msbpi(toy_model())
     text = iteration_csv(mech)
@@ -338,6 +354,10 @@ def test_msbpi_rejects_invalid_model():
     m = toy_model()
     m.agent1.transition[0, 0, :] = 0.7  # rows no longer sum to one
     with pytest.raises(ValueError):
+        msbpi(m)
+    m = toy_model()
+    m.agent1.transition[0, 0] = [np.nan, 1.0]  # every comparison with NaN is false
+    with pytest.raises(ValueError, match="non-finite"):
         msbpi(m)
 
 

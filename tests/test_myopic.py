@@ -13,22 +13,18 @@ from hypothesis import strategies as st
 
 from commplan.domains import GridConfig, build_meeting, midpoint, step_toward
 from commplan.lgo import LocalGoalPolicy
-from commplan.model import FactoredState
 from commplan.myopic import (
     CommPolicy,
-    FixedLocalPolicies,
     comm_policy_table,
     comm_table_csv,
     distance_evolution,
-    pbar,
-    rbar,
     split_distance,
-    theta_c,
-    theta_nc,
     theta_nc_meeting,
 )
 
 from conftest import toy_model
+from oracles import FixedLocalPolicies, pbar, rbar, theta_c, theta_nc
+from oracles import TimedState as FactoredState
 
 GO, WAIT = 0, 1
 

@@ -15,22 +15,22 @@ from commplan.model import FactoredState
 from commplan.options import (
     COMMUNICATE,
     PolicyTree,
-    expected_cost_g,
-    is_option,
     joint_f_value,
-    joint_pn,
-    joint_rn,
     live_frontier,
     live_levels,
-    p_reach,
-    p_terminate,
     pair_forward,
-    tree_size,
-    tree_to_text,
-    validate_tree,
 )
 
 from conftest import TOY_GRID, chain_agent, toy_model
+from oracles import (
+    expected_cost_g,
+    is_option,
+    joint_pn,
+    joint_rn,
+    p_reach,
+    p_terminate,
+    validate_tree,
+)
 
 GO, WAIT = 0, 1
 
@@ -54,7 +54,6 @@ def comm_now(root=0):
 def test_tree_size_and_lookup():
     tree = go_then_split()
     assert tree.size == 2
-    assert tree_size(tree) == 2
     assert tree.action_at(0, 0) == GO
     assert tree.action_at(1, 1) == WAIT
     assert tree.action_at(1, 0) is None
@@ -105,18 +104,6 @@ def test_is_option_branch_endings():
     # a reachable hole disqualifies even at the horizon
     holey = PolicyTree(0, {(0, 0): GO, (0, 1): GO})
     assert not is_option(holey, agent, 2)
-
-
-def test_tree_to_text_golden():
-    agent = chain_agent(p=1.0)
-    tree = PolicyTree(0, {(0, 0): GO, (1, 1): COMMUNICATE})
-    assert tree_to_text(tree, agent) == "0 go\n  1 comm\n"
-
-
-def test_tree_to_text_marks_open_leaves():
-    agent = chain_agent(p=0.5)
-    text = tree_to_text(PolicyTree(0, {(0, 0): GO}), agent)
-    assert text == "0 go\n  0 .\n  1 .\n"
 
 
 # ------------------------------------------------------------ expected cost

@@ -31,11 +31,11 @@ from commplan.sim import (
     monte_carlo,
     results_csv,
     run_episode,
-    welch_ttest,
     _move,
 )
 
 from conftest import toy_model
+from oracles import welch_ttest
 
 
 def _rng(seed=0):
