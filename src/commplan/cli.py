@@ -3,7 +3,9 @@
 Every run prints its resolved configuration, seed included, so any output
 can be regenerated byte for byte by re-running the logged command.  Exit
 codes: 0 success, 1 failed reproduction, 2 usage errors or an exhausted
-search-node budget.
+search-node budget.  A usage error is any ValueError or OSError a command
+raises (an option value out of range, a missing or malformed model file, a
+strategy the domain cannot run); it prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .domains import (
     Ideal,
     MyopicGreedy,
     NoCommunication,
+    ProductionDomain,
     SubGoals,
     build_meeting,
     build_production,
@@ -31,6 +34,10 @@ from .sim import SimConfig, monte_carlo, results_csv
 from .tables import TABLE_IDS, reproduce
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+LGO_NEEDS_PRODUCTION = (
+    "lgo plans over candidate local goals, which only the production domain"
+    " defines; use --domain production"
+)
 
 
 def _log_config(args: argparse.Namespace) -> None:
@@ -46,19 +53,24 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _build_domain(args: argparse.Namespace):
+    if args.domain == "production":
+        p2 = args.p2 if args.p2 is not None else args.pu
+        return build_production(args.pu, p2, comm_cost=args.comm_cost, action_cost=args.action_cost)
+    return build_meeting(
+        GridConfig(p1=args.pu, p2=args.pu, comm_cost=args.comm_cost, action_cost=args.action_cost)
+    )
+
+
 def _planning_setup(args: argparse.Namespace):
     """Model plus candidate local policies (production only) for planners."""
     if args.model_file:
         m = parse_model(Path(args.model_file).read_text())
         return m, None, None
-    if args.domain == "production":
-        p2 = args.p2 if args.p2 is not None else args.pu
-        d = build_production(args.pu, p2, comm_cost=args.comm_cost, action_cost=args.action_cost)
+    d = _build_domain(args)
+    if isinstance(d, ProductionDomain):
         return d.model, d.candidates1, d.candidates2
-    cfg = GridConfig(
-        p1=args.pu, p2=args.pu, comm_cost=args.comm_cost, action_cost=args.action_cost
-    )
-    return build_meeting(cfg).model, None, None
+    return d.model, None, None
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -73,12 +85,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     s1, s2 = m.initial_state.s1, m.initial_state.s2
     if args.algo == "lgo":
         if cand1 is None or cand2 is None:
-            print(
-                "error: --algo lgo plans over candidate local goals, which only"
-                " the production domain defines; use --domain production",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise ValueError(LGO_NEEDS_PRODUCTION)
         mech = lgo_msbpi(m, cand1, cand2)
         print(f"value at initial state: {float(mech.value[0, s1, s2])!r}")
         print(f"sweeps: {mech.sweeps}, candidates considered: {mech.candidates_considered}")
@@ -116,26 +123,15 @@ def _build_strategy(args: argparse.Namespace, domain):
         )
         return MyopicGreedy(table)
     if name == "lgo":
+        if not isinstance(domain, ProductionDomain):
+            raise ValueError(LGO_NEEDS_PRODUCTION)
         return lgo_msbpi(domain.model, domain.candidates1, domain.candidates2)
     raise ValueError(f"unknown strategy {name!r}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _log_config(args)
-    if args.domain == "production":
-        p2 = args.p2 if args.p2 is not None else args.pu
-        domain = build_production(
-            args.pu, p2, comm_cost=args.comm_cost, action_cost=args.action_cost
-        )
-    else:
-        domain = build_meeting(
-            GridConfig(
-                p1=args.pu,
-                p2=args.pu,
-                comm_cost=args.comm_cost,
-                action_cost=args.action_cost,
-            )
-        )
+    domain = _build_domain(args)
     strategy = _build_strategy(args, domain)
     result = monte_carlo(
         SimConfig(domain=domain, strategy=strategy, episodes=args.episodes, seed=args.seed)
@@ -159,11 +155,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     summaries = []
     failed = False
     for tid in tables:
-        try:
-            report = reproduce(tid, episodes=args.episodes, seed=args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        report = reproduce(tid, episodes=args.episodes, seed=args.seed)
         summaries.append(report.summary())
         failed = failed or not report.passed
     text = "\n\n".join(summaries) + "\n"
@@ -233,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -411,6 +411,14 @@ def step_toward(pos: Tuple[int, int], goal: Tuple[int, int]) -> int:
     return STAY
 
 
+def grid_target(pos: Tuple[int, int], a: int, cfg: GridConfig) -> Tuple[int, int]:
+    """Cell that action a reaches from pos when it succeeds; moves off the
+    edge are clamped.  The one grid move: the walker models and the
+    simulator both take it from here."""
+    dx, dy = GRID_DELTAS[a]
+    return (min(max(pos[0] + dx, 0), cfg.width - 1), min(max(pos[1] + dy, 0), cfg.height - 1))
+
+
 def _grid_agent(name: str, cfg: GridConfig, p: float) -> AgentModel:
     w, h = cfg.width, cfg.height
     n = w * h
@@ -420,9 +428,8 @@ def _grid_agent(name: str, cfg: GridConfig, p: float) -> AgentModel:
         for y in range(h):
             s = x * h + y
             labels.append(f"{x}-{y}")
-            for a, (dx, dy) in enumerate(GRID_DELTAS):
-                tx = min(max(x + dx, 0), w - 1)
-                ty = min(max(y + dy, 0), h - 1)
+            for a in range(len(GRID_ACTIONS)):
+                tx, ty = grid_target((x, y), a, cfg)
                 target = tx * h + ty
                 trans[s, a, target] += p
                 trans[s, a, s] += 1.0 - p

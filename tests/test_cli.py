@@ -140,6 +140,29 @@ def test_plan_lgo_needs_candidate_goals(capsys):
     assert "production domain" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "--algo", "msbpi", "--model-file", "{tmp}/twice.model"],
+        ["plan", "--algo", "msbpi", "--model-file", "{tmp}/missing.model"],
+        ["plan", "--algo", "msbpi", "--pu", "0"],
+        ["simulate", "--strategy", "lgo", "--domain", "meeting"],
+        ["simulate", "--strategy", "subgoals", "--domain", "production"],
+        ["simulate", "--strategy", "no_comm", "--episodes", "0"],
+        ["simulate", "--strategy", "subgoals", "--subgoal-p", "0"],
+        ["simulate", "--strategy", "no_comm", "--pu", "1.5"],
+    ],
+    ids=["model-file-repeated-key", "model-file-missing", "plan-pu-0", "lgo-on-meeting",
+         "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5"],
+)
+def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
+    (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")
+    rc, _, err = run_cli(capsys, [a.format(tmp=tmp_path) for a in argv])
+    assert rc == EXIT_USAGE
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_simulate_subgoals_writes_results_csv(capsys, tmp_path):
     path = tmp_path / "results.csv"
     rc, out, err = run_cli(

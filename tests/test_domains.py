@@ -22,6 +22,7 @@ from commplan.domains import (
     SUBGOAL_SWEEP,
     build_meeting,
     build_production,
+    grid_target,
     manhattan,
     midpoint,
     quota_policy,
@@ -221,6 +222,33 @@ def test_meeting_edge_moves_clamp_in_place():
     west = GRID_ACTIONS.index("west")
     row = dom.model.agent1.transition[corner, west]
     assert row[corner] == 1.0
+
+
+@pytest.mark.parametrize("p", [0.7, 1.0])
+def test_grid_agent_rows_come_from_grid_target(p):
+    # non-square, so a swapped width and height would show
+    cfg = GridConfig(width=4, height=3, p1=p, p2=p, start2=(3, 2))
+    dom = build_meeting(cfg)
+    agent = dom.model.agent1
+    for x in range(cfg.width):
+        for y in range(cfg.height):
+            s = dom.encode((x, y))
+            for a in range(len(GRID_ACTIONS)):
+                want = np.zeros(agent.n_states)
+                want[dom.encode(grid_target((x, y), a, cfg))] += p
+                want[s] += 1.0 - p
+                assert np.array_equal(agent.transition[s, a], want), (x, y, a)
+
+
+def test_grid_target_clamps_at_each_edge():
+    cfg = GridConfig(width=4, height=3, start2=(3, 2))
+    north, south, east, west = (GRID_ACTIONS.index(n) for n in ("north", "south", "east", "west"))
+    assert grid_target((3, 2), north, cfg) == (3, 2)
+    assert grid_target((1, 0), south, cfg) == (1, 0)
+    assert grid_target((3, 1), east, cfg) == (3, 1)
+    assert grid_target((0, 1), west, cfg) == (0, 1)
+    assert grid_target((2, 1), north, cfg) == (2, 2)
+    assert grid_target((2, 1), STAY, cfg) == (2, 1)
 
 
 def test_meeting_goal_and_step_charge():

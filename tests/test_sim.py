@@ -57,11 +57,11 @@ def test_move_walks_and_clamps():
 def test_deterministic_meeting_walk():
     dom = build_meeting(GridConfig(width=3, height=3, p1=1.0, p2=1.0,
                                    start1=(0, 0), start2=(2, 2)))
-    u, steps, comm, traj = run_episode(dom, NoCommunication(), _rng(3))
+    u, steps, comm, capped = run_episode(dom, NoCommunication(), _rng(3))
     assert (u, steps, comm) == (-4.0, 2, 0)
-    assert traj["events"][-1] == ("met", 2)
+    assert capped is False
 
-    u, steps, comm, traj = run_episode(dom, Ideal(), _rng(3))
+    u, steps, comm, _ = run_episode(dom, Ideal(), _rng(3))
     assert (u, steps, comm) == (-4.0, 2, 2)
     u_ac, _, comm_ac, _ = run_episode(dom, AlwaysCommunicate(), _rng(3))
     assert comm_ac == 2
@@ -75,6 +75,8 @@ def test_unsupported_strategy_rejected():
         run_episode(dom, object(), _rng())
     with pytest.raises(ValueError, match="unsupported domain"):
         run_episode(object(), NoCommunication(), _rng())
+    with pytest.raises(ValueError, match="unsupported model strategy"):
+        run_episode(toy_model(), NoCommunication(), _rng())
 
 
 def test_same_seed_reproduces_batch_exactly():
