@@ -32,7 +32,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import AgentModel, DecMdpCom
+from .model import AgentModel, DecMdpCom, require_valid
 from .options import _forward_level, _Successors
 
 
@@ -466,9 +466,10 @@ def lgo_msbpi(
     (in place, so later candidates must beat the freshest value).  Stops when
     a full round changes nothing; the table evaluated at the start of that
     round is then the answer.  A run stopped by max_sweeps is evaluated once
-    more.  Candidate labels must identify their policies (ValueError
-    otherwise).
+    more.  Candidate labels must identify their policies, and the model must
+    pass validate() apart from warnings (ValueError otherwise).
     """
+    require_valid(m)
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
     cand1 = list(candidates1) if candidates1 is not None else default_candidates(m.agent1, T)

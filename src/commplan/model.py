@@ -224,3 +224,11 @@ def validate(m: DecMdpCom) -> list:
                 f"warning: no global goal state reachable within {m.horizon} steps"
             )
     return out
+
+
+def require_valid(m: DecMdpCom) -> None:
+    """Raise ValueError naming every violation validate() reports; warnings
+    pass."""
+    problems = [v for v in validate(m) if not v.startswith("warning:")]
+    if problems:
+        raise ValueError("; ".join(problems))

@@ -26,8 +26,9 @@ first, then one block per agent, then optional joint goal pairs:
     goal_pairs (s1,s1)
 
 States and actions are referenced by label.  Transition rows not listed
-default to staying in place with probability 1.  Numbers must be finite
-and no key, action cost or (state, action) trans row may repeat.
+default to staying in place with probability 1.  Every key needs its
+values, numbers must be finite, the horizon and agent index integers, and
+no key, action cost or (state, action) trans row may repeat.
 Serialization is canonical (sorted, fixed formatting), so parse -> serialize
 -> parse is an identity; models with a potential or an extra reward, which
 the format cannot carry, are refused.
@@ -57,6 +58,20 @@ def _number(tok: str, ln: int) -> float:
     return x
 
 
+def _integer(tok: str, ln: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ModelFormatError(f"line {ln}: '{tok}' is not an integer") from None
+
+
+def _arg(toks: list, k: int, ln: int) -> str:
+    """Token k of a line, or an error naming the line when it is missing."""
+    if k >= len(toks):
+        raise ModelFormatError(f"line {ln}: '{toks[0]}' is missing a value")
+    return toks[k]
+
+
 def _once(seen: dict, key, ln: int, what: str) -> None:
     if key in seen:
         raise ModelFormatError(f"line {ln}: repeated {what} (first on line {seen[key]})")
@@ -73,8 +88,10 @@ def _tokenize(text: str) -> list:
 
 
 def _parse_agent_block(lines, i, expected_index):
+    if i >= len(lines):
+        raise ModelFormatError(f"missing block 'agent {expected_index}'")
     ln, toks = lines[i]
-    if toks[0] != "agent" or int(toks[1]) != expected_index:
+    if toks[0] != "agent" or _integer(_arg(toks, 1, ln), ln) != expected_index:
         raise ModelFormatError(f"line {ln}: expected 'agent {expected_index}'")
     name = toks[2] if len(toks) > 2 else f"agent{expected_index}"
     i += 1
@@ -89,10 +106,13 @@ def _parse_agent_block(lines, i, expected_index):
             break
         if key in ("states", "actions", "noop", "goals"):
             _once(seen, key, ln, f"key '{key}'")
+            if key == "noop":
+                _arg(toks, 1, ln)
             fields[key] = toks[1:]
         elif key == "cost":
-            _once(seen, ("cost", toks[1]), ln, f"cost for action '{toks[1]}'")
-            costs[toks[1]] = _number(toks[2], ln)
+            a_lbl = _arg(toks, 1, ln)
+            _once(seen, ("cost", a_lbl), ln, f"cost for action '{a_lbl}'")
+            costs[a_lbl] = _number(_arg(toks, 2, ln), ln)
         elif key == "trans":
             if ":" not in toks:
                 raise ModelFormatError(f"line {ln}: trans row missing ':'")
@@ -171,13 +191,13 @@ def parse_model(text: str) -> DecMdpCom:
         if key in ("model", "horizon", "comm_cost", "initial"):
             _once(seen, key, ln, f"key '{key}'")
         if key == "model":
-            name = toks[1]
+            name = _arg(toks, 1, ln)
         elif key == "horizon":
-            horizon = int(toks[1])
+            horizon = _integer(_arg(toks, 1, ln), ln)
         elif key == "comm_cost":
-            comm_cost = _number(toks[1], ln)
+            comm_cost = _number(_arg(toks, 1, ln), ln)
         elif key == "initial":
-            initial = (toks[1], toks[2])
+            initial = (_arg(toks, 1, ln), _arg(toks, 2, ln))
         elif key == "agent":
             break
         else:
@@ -193,8 +213,9 @@ def parse_model(text: str) -> DecMdpCom:
         if toks[0] != "goal_pairs":
             raise ModelFormatError(f"line {ln}: expected 'goal_pairs', got '{toks[0]}'")
         for tok in toks[1:]:
-            pair = tok.strip("()")
-            l1, l2 = pair.split(",")
+            l1, comma, l2 = tok.strip("()").partition(",")
+            if not comma:
+                raise ModelFormatError(f"line {ln}: goal pair '{tok}' has no comma")
             try:
                 g1 = agent1.state_labels.index(l1)
                 g2 = agent2.state_labels.index(l2)

@@ -8,28 +8,31 @@ to the best mechanism over unrestricted tree pairs.
 
 A child pair differs from its parent only at the new deepest level, so each
 search node carries its pair's forward state before and after that level.
-A child is scored by one more level of the forward kernel from its parent,
-adding terms in joint_f_value's order, so its value is bitwise the value of
-a walk from the root.
+A child is scored by one advance from its parent's state and one
+state_value, the fold joint_f_value runs from the root, so its value is
+bitwise the pair's value.  A node also carries each tree's live states at
+its deepest level; a popped node's frontiers past that level are one
+_live_next step, so the search never walks a tree from its root.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import DecMdpCom, FactoredState, validate
+from .model import DecMdpCom, FactoredState, require_valid
 from .options import (
     COMMUNICATE,
+    ForwardState,
     PolicyTree,
+    _live_next,
     _Successors,
-    _forward_level,
+    advance,
     joint_f_value,
-    live_frontier,
-    live_levels,
+    state_value,
 )
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -46,27 +49,15 @@ class NodeBudgetExceeded(RuntimeError):
         )
 
 
-class ForwardState(NamedTuple):
-    """A tree pair's joint execution from the search root up to some depth.
-
-    ``exchanged`` is the running sum of the exchange-branch terms, added as
-    joint_f_value adds them: by elapsed step, then in cell order.  Cells that
-    ran out of tree wait in ``stopped`` as (elapsed, cells) and the cells
-    still running in ``alive``; both are valued last, as joint_f_value does.
-    """
-
-    alive: Dict[Tuple[int, int], list]
-    exchanged: float
-    stopped: Tuple[Tuple[int, Dict[Tuple[int, int], list]], ...]
-
-
 @dataclass
 class SearchNode:
     """A candidate pair of equal-size policy trees with its estimated value.
 
     ``before`` is the pair's forward state ahead of its deepest level and
     ``after`` the state past it: children extend ``after`` by one level, and
-    capping the deepest level re-runs it from ``before``.
+    capping the deepest level re-runs it from ``before``.  ``live1`` and
+    ``live2`` are the trees' states at the deepest level that have not
+    communicated yet.
     """
 
     tree1: PolicyTree
@@ -75,6 +66,8 @@ class SearchNode:
     depth: int
     before: ForwardState
     after: ForwardState
+    live1: set
+    live2: set
 
 
 @dataclass
@@ -151,17 +144,15 @@ def evaluate_policy(delta, m: DecMdpCom) -> np.ndarray:
     return _evaluate_pairs(pairs, m)
 
 
-def _cap_with_comm(tree: PolicyTree, agent) -> PolicyTree:
-    """Overwrite the deepest live level with communication acts.
+def _cap_with_comm(tree: PolicyTree, live) -> PolicyTree:
+    """Overwrite the deepest level's live states with communication acts.
 
     Used when the partner tree's branches all communicate by this depth: the
     joint exchange interrupts anything planned deeper, so closing this tree
     at the same level yields a valid option pair.
     """
     d = tree.size - 1
-    levels = live_levels(tree, agent)
-    updates = {(q, d): COMMUNICATE for q in sorted(levels[d])}
-    return tree.with_assignments(updates)
+    return tree.with_assignments({(q, d): COMMUNICATE for q in sorted(live)})
 
 
 def _frontier_assignments(frontier, n_actions):
@@ -197,29 +188,13 @@ def improve_state(
     succ1 = _Successors(m.agent1)
     succ2 = _Successors(m.agent2)
 
-    def advance(state: ForwardState, tree1, tree2, j: int) -> ForwardState:
-        term, halted, alive = _forward_level(
-            state.alive, tree1, tree2, m, j, succ1, succ2
-        )
-        exchanged = state.exchanged
-        charged = m.comm_cost if t + j < m.horizon else 0.0
-        for (s1, s2), (mu, rho) in term.items():
-            exchanged += rho + mu * (charged + V[t + j, s1, s2])
-        stopped = state.stopped + ((j - 1, halted),) if halted else state.stopped
-        return ForwardState(alive, exchanged, stopped)
-
-    def create(tree1, tree2, depth: int, before: ForwardState) -> SearchNode:
+    def create(tree1, tree2, depth: int, before: ForwardState, live1, live2) -> SearchNode:
         counter[0] += 1
         if counter[0] > node_budget:
             raise NodeBudgetExceeded(node_budget, counter[0])
-        after = advance(before, tree1, tree2, depth)
-        f = after.exchanged
-        for j, cells in after.stopped:
-            for (s1, s2), (mu, rho) in cells.items():
-                f += rho + mu * V[t + j, s1, s2]
-        for (s1, s2), (mu, rho) in after.alive.items():
-            f += rho + mu * V[t + depth, s1, s2]
-        return SearchNode(tree1, tree2, f, depth, before, after)
+        after = advance(before, tree1, tree2, m, t, depth, V, succ1, succ2)
+        f = state_value(after, t, depth, V)
+        return SearchNode(tree1, tree2, f, depth, before, after, live1, live2)
 
     root = ForwardState({(s.s1, s.s2): [1.0, 0.0]}, 0.0, ())
     stack: List[SearchNode] = []
@@ -230,6 +205,8 @@ def improve_state(
                 PolicyTree(s.s2, {(s.s2, 0): a2}),
                 1,
                 root,
+                {s.s1},
+                {s.s2},
             )
             if node.f > best:
                 stack.append(node)
@@ -238,9 +215,9 @@ def improve_state(
         node = stack.pop()
         if node.f <= best:
             continue
-        fr1 = live_frontier(node.tree1, m.agent1)
-        fr2 = live_frontier(node.tree2, m.agent2)
         size = node.depth
+        fr1 = _live_next(node.live1, node.tree1, size - 1, succ1)
+        fr2 = _live_next(node.live2, node.tree2, size - 1, succ2)
         if (not fr1 and not fr2) or size == remaining:
             best = node.f
             best_pair = (node.tree1, node.tree2)
@@ -249,10 +226,10 @@ def improve_state(
             # one tree communicates on every branch: the exchange interrupts
             # the other tree at this depth, so close it here and go no deeper
             if fr1:
-                capped = (_cap_with_comm(node.tree1, m.agent1), node.tree2)
+                capped = (_cap_with_comm(node.tree1, node.live1), node.tree2)
             else:
-                capped = (node.tree1, _cap_with_comm(node.tree2, m.agent2))
-            cnode = create(*capped, size, node.before)
+                capped = (node.tree1, _cap_with_comm(node.tree2, node.live2))
+            cnode = create(*capped, size, node.before, node.live1, node.live2)
             if cnode.f > best:
                 best = cnode.f
                 best_pair = capped
@@ -271,7 +248,7 @@ def improve_state(
                 t2 = node.tree2.with_assignments(
                     {(q, size): a for q, a in asg2.items()}
                 )
-                child = create(t1, t2, new_size, node.after)
+                child = create(t1, t2, new_size, node.after, fr1, fr2)
                 if child.f > best:
                     children.append(child)
         stack.extend(children)
@@ -292,9 +269,9 @@ def msbpi(
     changes.  The default initial mechanism communicates immediately
     everywhere; it is valued in closed form, and its pair table is built
     only once a sweep has updates to apply or the search returns."""
-    problems = [v for v in validate(m) if not v.startswith("warning:")]
-    if problems:
-        raise ValueError("; ".join(problems))
+    if max_option_length is not None and max_option_length < 1:
+        raise ValueError(f"max_option_length must be >= 1, got {max_option_length}")
+    require_valid(m)
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
     if initial_delta is None:

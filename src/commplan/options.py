@@ -14,16 +14,19 @@ action; the other agent's concurrent domain action does execute; the
 exchange itself is charged once at the pair level, and not at all when it
 falls exactly at the horizon.
 
-_forward_level advances a pair's running cells by one step.  pair_forward
-loops it from the root, the tree-pair search extends a node by its new
-deepest level with it, and LGO's per-cell window scores run it on goal
-policies.  The paper's P_N and R_N are test oracles (tests/oracles.py).
+_forward_level advances a pair's running cells by one step; LGO's per-cell
+window scores run it on goal policies.  A pair's value is one fold over it:
+advance adds a level's exchange terms to a ForwardState and state_value
+closes it.  joint_f_value folds from the root and the tree-pair search one
+level per node, so both add the same terms in the same order.  _live_next
+steps a tree's live frontier one level.  The paper's P_N and R_N are test
+oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,29 +71,6 @@ class PolicyTree:
         return hash((self.root_state, tuple(sorted(self.assignment.items()))))
 
 
-def live_levels(tree: PolicyTree, agent: AgentModel):
-    """Per-depth sets of reachable states that have not communicated yet.
-
-    live[d] holds the states at depth d whose branch took only domain actions
-    at depths < d.  The list stops after the tree's deepest level.
-    """
-    live = [{tree.root_state}]
-    for d in range(tree.size):
-        nxt = set()
-        for s in live[d]:
-            a = tree.action_at(s, d)
-            if a is None or a == COMMUNICATE:
-                continue
-            nxt.update(int(q) for q in agent.successors(s, a))
-        live.append(nxt)
-    return live
-
-
-def live_frontier(tree: PolicyTree, agent: AgentModel) -> set:
-    """States at the tree's deepest level still awaiting an assignment."""
-    return live_levels(tree, agent)[-1]
-
-
 class _Successors(dict):
     """(state, action) -> ((next state, probability), ...) over the p > 0
     entries of one agent's transition row, in index order, filled on first
@@ -111,6 +91,18 @@ class _Successors(dict):
         succ = tuple(zip(nonzero.tolist(), row[nonzero].tolist()))
         self[key] = succ
         return succ
+
+
+def _live_next(live, tree: PolicyTree, d: int, succ) -> set:
+    """The tree's states at depth d + 1 that have not communicated yet,
+    reached from ``live``, its such states at depth d.  succ is the
+    agent's _Successors."""
+    nxt = set()
+    for s in live:
+        a = tree.action_at(s, d)
+        if a is not None and a != COMMUNICATE:
+            nxt.update(q for q, _ in succ[s, a])
+    return nxt
 
 
 def _forward_level(
@@ -151,66 +143,57 @@ def _forward_level(
     return term, stopped, nxt
 
 
-def pair_forward(
-    opt1: PolicyTree,
-    opt2: PolicyTree,
-    m: DecMdpCom,
-    s: FactoredState,
-    t: int,
-):
-    """Forward accounting of a tree pair's joint execution from (s, t).
+class ForwardState(NamedTuple):
+    """A tree pair's joint execution from its root up to some depth:
+    ``exchanged`` sums the exchange-branch terms by elapsed step, then in
+    cell order; ``stopped`` holds (elapsed, cells) that ran out of tree and
+    ``alive`` the cells still running."""
 
-    Splits the probability mass into branches whose first exchange fires at
-    each elapsed step j (``term``) and branches that run out of tree without
-    communicating (``stopped``, the sensing frontier).  Each bucket maps
-    (elapsed, global state) -> [mass, accumulated reward mass].
+    alive: Dict[Tuple[int, int], list]
+    exchanged: float
+    stopped: Tuple[Tuple[int, Dict[Tuple[int, int], list]], ...]
 
-    The exchange fires at step j when either agent's depth j-1 node carries
-    the communication act; the communicator's state freezes and only the
-    other agent's action cost is charged that step.
-    """
-    depth_cap = min(max(opt1.size, opt2.size), m.horizon - t)
-    succ1 = _Successors(m.agent1)
-    succ2 = _Successors(m.agent2)
-    term: Dict[int, Dict[Tuple[int, int], list]] = {}
-    stopped: Dict[int, Dict[Tuple[int, int], list]] = {}
-    alive: Dict[Tuple[int, int], list] = {(s.s1, s.s2): [1.0, 0.0]}
-    for j in range(1, depth_cap + 1):
-        cells, halted, alive = _forward_level(alive, opt1, opt2, m, j, succ1, succ2)
-        if cells:
-            term[j] = cells
-        if halted:
-            stopped[j - 1] = halted
-        if not alive:
-            break
-    if alive:
-        stopped[depth_cap] = {key: [mu, rho] for key, (mu, rho) in alive.items()}
-    return term, stopped
+
+def advance(
+    state: ForwardState, opt1, opt2, m: DecMdpCom, t: int, j: int, V, succ1, succ2
+) -> ForwardState:
+    """Run step j of a pair started at time t and fold its exchange cells
+    into the running sum: the accumulated reward, the exchange cost when
+    before the horizon, and V at the exchange time."""
+    term, halted, alive = _forward_level(state.alive, opt1, opt2, m, j, succ1, succ2)
+    exchanged = state.exchanged
+    charged = m.comm_cost if t + j < m.horizon else 0.0
+    for (s1, s2), (mu, rho) in term.items():
+        exchanged += rho + mu * (charged + V[t + j, s1, s2])
+    stopped = state.stopped + ((j - 1, halted),) if halted else state.stopped
+    return ForwardState(alive, exchanged, stopped)
+
+
+def state_value(state: ForwardState, t: int, depth: int, V: np.ndarray) -> float:
+    """Value of a pair run to ``depth`` levels from time t: the exchange
+    terms, then the cells that ran out of tree, then the cells still
+    running.  The last two are synchronization points where the agents
+    sense the global state at no cost, collecting V there."""
+    f = state.exchanged
+    for j, cells in state.stopped:
+        for (s1, s2), (mu, rho) in cells.items():
+            f += rho + mu * V[t + j, s1, s2]
+    for (s1, s2), (mu, rho) in state.alive.items():
+        f += rho + mu * V[t + depth, s1, s2]
+    return f
 
 
 def joint_f_value(
-    opt1: PolicyTree,
-    opt2: PolicyTree,
-    m: DecMdpCom,
-    s: FactoredState,
-    t: int,
-    V: np.ndarray,
+    opt1: PolicyTree, opt2: PolicyTree, m: DecMdpCom, s: FactoredState, t: int, V
 ) -> float:
     """Exact value of running the tree pair from (s, t) against the value
-    table V (indexed V[time, s1, s2]).
-
-    Exchange branches collect the accumulated reward, the exchange cost when
-    before the horizon, and V at the exchange time.  Branches that run out of
-    tree are synchronization points where the agents sense the global state
-    at no cost, collecting V there.
-    """
-    term, stopped = pair_forward(opt1, opt2, m, s, t)
-    total = 0.0
-    for j, cells in term.items():
-        charged = m.comm_cost if t + j < m.horizon else 0.0
-        for (s1, s2), (mu, rho) in cells.items():
-            total += rho + mu * (charged + V[t + j, s1, s2])
-    for j, cells in stopped.items():
-        for (s1, s2), (mu, rho) in cells.items():
-            total += rho + mu * V[t + j, s1, s2]
-    return total
+    table V (indexed V[time, s1, s2]), first exchange wins."""
+    depth = min(max(opt1.size, opt2.size), m.horizon - t)
+    succ1 = _Successors(m.agent1)
+    succ2 = _Successors(m.agent2)
+    state = ForwardState({(s.s1, s.s2): [1.0, 0.0]}, 0.0, ())
+    for j in range(1, depth + 1):
+        state = advance(state, opt1, opt2, m, t, j, V, succ1, succ2)
+        if not state.alive:
+            break
+    return state_value(state, t, depth, V)

@@ -2,11 +2,15 @@
 bit-identity oracle.
 
 This is improve_state and msbpi as they were before search nodes carried
-their forward state: each created node is scored by joint_f_value, which
-walks the pair from the search root.  The incremental search must create the
-same nodes in the same order and reach bitwise the same values, pairs and
-counts.  Only the imports and the local SearchNode (the node as it was,
-holding no forward state) differ from the original.
+their forward state: each created node is scored by root_walk_f_value, which
+walks the pair from the search root, and each popped node's frontiers are
+walked from the trees' roots.  The incremental search must create the same
+nodes in the same order and reach bitwise the same values, pairs and
+counts.  Only the imports, the names of the walks (the frozen copies in
+tests/oracles.py) and the local SearchNode (the node as it was, holding no
+forward state) differ from the original.  The value tables are evaluated by
+local copies of the library's _evaluate_pairs and evaluate_policy that call
+the frozen root walk, so nothing here runs the library's pair-value fold.
 """
 
 from __future__ import annotations
@@ -21,14 +25,12 @@ from commplan.msbpi import (
     DEFAULT_NODE_BUDGET,
     GeneralMechanism,
     NodeBudgetExceeded,
-    _cap_with_comm,
     _evaluate_immediate_comm,
-    _evaluate_pairs,
     _frontier_assignments,
-    evaluate_policy,
     immediate_comm_pairs,
 )
-from commplan.options import COMMUNICATE, PolicyTree, joint_f_value, live_frontier
+from commplan.options import COMMUNICATE, PolicyTree
+from oracles import cap_with_comm, live_frontier, root_walk_f_value
 
 
 @dataclass
@@ -39,6 +41,26 @@ class SearchNode:
     tree2: PolicyTree
     f: float
     depth: int
+
+
+def _evaluate_pairs(pairs, m: DecMdpCom) -> np.ndarray:
+    T = m.horizon
+    n1, n2 = m.agent1.n_states, m.agent2.n_states
+    V = np.zeros((T + 1, n1, n2))
+    for t in range(T - 1, -1, -1):
+        for s1 in range(n1):
+            for s2 in range(n2):
+                opt1, opt2 = pairs[(s1, s2, t)]
+                V[t, s1, s2] = root_walk_f_value(
+                    opt1, opt2, m, FactoredState(s1, s2), t, V
+                )
+    return V
+
+
+def evaluate_policy(delta, m: DecMdpCom) -> np.ndarray:
+    """Backward-induction value table of a mechanism, V[T] = 0."""
+    pairs = delta.pairs if isinstance(delta, GeneralMechanism) else delta
+    return _evaluate_pairs(pairs, m)
 
 
 def improve_state(
@@ -68,7 +90,7 @@ def improve_state(
         counter[0] += 1
         if counter[0] > node_budget:
             raise NodeBudgetExceeded(node_budget, counter[0])
-        f = joint_f_value(tree1, tree2, m, s, t, V)
+        f = root_walk_f_value(tree1, tree2, m, s, t, V)
         return SearchNode(tree1, tree2, f, tree1.size)
 
     stack: List[SearchNode] = []
@@ -96,9 +118,9 @@ def improve_state(
             # one tree communicates on every branch: the exchange interrupts
             # the other tree at this depth, so close it here and go no deeper
             if fr1:
-                capped = (_cap_with_comm(node.tree1, m.agent1), node.tree2)
+                capped = (cap_with_comm(node.tree1, m.agent1), node.tree2)
             else:
-                capped = (node.tree1, _cap_with_comm(node.tree2, m.agent2))
+                capped = (node.tree1, cap_with_comm(node.tree2, m.agent2))
             cnode = create(*capped)
             if cnode.f > best:
                 best = cnode.f

@@ -6,8 +6,12 @@ the definitions live here and are checked against those kernels:
 
 - p_terminate, p_reach, joint_pn, joint_rn (P_N and R_N of a tree pair),
   expected_cost_g, validate_tree and is_option check the policy-tree kernels
-  in commplan.options (pair_forward, joint_f_value, live_levels,
-  live_frontier) and the options MSBPI returns.
+  in commplan.options and the options MSBPI returns.
+- live_levels, live_frontier, cap_with_comm, pair_forward and
+  root_walk_f_value walk a tree or a tree pair from its root.  They are
+  independent of the library's pair-value fold and the search's one-level
+  frontier steps, and check joint_f_value, _live_next and, through
+  tests/msbpi_reference.py, the search.
 - png and rng (P_N and R_N of a goal assignment) check the window
   propagators behind commplan.lgo's layer scores; delta_independence is the
   interference bound on LGO's loss.
@@ -19,6 +23,8 @@ the definitions live here and are checked against those kernels:
 
 Bodies are as they were in the library, except that the myopic ones read
 time stamps through _stamp, since model states no longer carry one.
+root_walk_f_value was the library's joint_f_value and cap_with_comm its
+_cap_with_comm(tree, agent).
 """
 
 from __future__ import annotations
@@ -31,13 +37,7 @@ import numpy as np
 
 from commplan.lgo import GoalAssignment, _step_matrix
 from commplan.model import AgentModel, DecMdpCom, FactoredState
-from commplan.options import (
-    COMMUNICATE,
-    PolicyTree,
-    live_frontier,
-    live_levels,
-    pair_forward,
-)
+from commplan.options import COMMUNICATE, PolicyTree, _forward_level, _Successors
 from commplan.sim import SimResult
 from lgo_reference import _window_forward
 
@@ -52,6 +52,107 @@ class TimedState(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # policy trees and tree-pair windows
+
+
+def live_levels(tree: PolicyTree, agent: AgentModel):
+    """Per-depth sets of reachable states that have not communicated yet.
+
+    live[d] holds the states at depth d whose branch took only domain actions
+    at depths < d.  The list stops after the tree's deepest level.
+    """
+    live = [{tree.root_state}]
+    for d in range(tree.size):
+        nxt = set()
+        for s in live[d]:
+            a = tree.action_at(s, d)
+            if a is None or a == COMMUNICATE:
+                continue
+            nxt.update(int(q) for q in agent.successors(s, a))
+        live.append(nxt)
+    return live
+
+
+def live_frontier(tree: PolicyTree, agent: AgentModel) -> set:
+    """States at the tree's deepest level still awaiting an assignment."""
+    return live_levels(tree, agent)[-1]
+
+
+def cap_with_comm(tree: PolicyTree, agent) -> PolicyTree:
+    """Overwrite the deepest live level with communication acts.
+
+    Used when the partner tree's branches all communicate by this depth: the
+    joint exchange interrupts anything planned deeper, so closing this tree
+    at the same level yields a valid option pair.
+    """
+    d = tree.size - 1
+    levels = live_levels(tree, agent)
+    updates = {(q, d): COMMUNICATE for q in sorted(levels[d])}
+    return tree.with_assignments(updates)
+
+
+def pair_forward(
+    opt1: PolicyTree,
+    opt2: PolicyTree,
+    m: DecMdpCom,
+    s: FactoredState,
+    t: int,
+):
+    """Forward accounting of a tree pair's joint execution from (s, t).
+
+    Splits the probability mass into branches whose first exchange fires at
+    each elapsed step j (``term``) and branches that run out of tree without
+    communicating (``stopped``, the sensing frontier).  Each bucket maps
+    (elapsed, global state) -> [mass, accumulated reward mass].
+
+    The exchange fires at step j when either agent's depth j-1 node carries
+    the communication act; the communicator's state freezes and only the
+    other agent's action cost is charged that step.
+    """
+    depth_cap = min(max(opt1.size, opt2.size), m.horizon - t)
+    succ1 = _Successors(m.agent1)
+    succ2 = _Successors(m.agent2)
+    term: Dict[int, Dict[Tuple[int, int], list]] = {}
+    stopped: Dict[int, Dict[Tuple[int, int], list]] = {}
+    alive: Dict[Tuple[int, int], list] = {(s.s1, s.s2): [1.0, 0.0]}
+    for j in range(1, depth_cap + 1):
+        cells, halted, alive = _forward_level(alive, opt1, opt2, m, j, succ1, succ2)
+        if cells:
+            term[j] = cells
+        if halted:
+            stopped[j - 1] = halted
+        if not alive:
+            break
+    if alive:
+        stopped[depth_cap] = {key: [mu, rho] for key, (mu, rho) in alive.items()}
+    return term, stopped
+
+
+def root_walk_f_value(
+    opt1: PolicyTree,
+    opt2: PolicyTree,
+    m: DecMdpCom,
+    s: FactoredState,
+    t: int,
+    V: np.ndarray,
+) -> float:
+    """Exact value of running the tree pair from (s, t) against the value
+    table V (indexed V[time, s1, s2]).
+
+    Exchange branches collect the accumulated reward, the exchange cost when
+    before the horizon, and V at the exchange time.  Branches that run out of
+    tree are synchronization points where the agents sense the global state
+    at no cost, collecting V there.
+    """
+    term, stopped = pair_forward(opt1, opt2, m, s, t)
+    total = 0.0
+    for j, cells in term.items():
+        charged = m.comm_cost if t + j < m.horizon else 0.0
+        for (s1, s2), (mu, rho) in cells.items():
+            total += rho + mu * (charged + V[t + j, s1, s2])
+    for j, cells in stopped.items():
+        for (s1, s2), (mu, rho) in cells.items():
+            total += rho + mu * V[t + j, s1, s2]
+    return total
 
 
 def validate_tree(tree: PolicyTree, agent: AgentModel, max_size: Optional[int] = None) -> list:

@@ -28,12 +28,11 @@ from commplan.lgo import lgo_msbpi
 from commplan.model import FactoredState
 from commplan.msbpi import msbpi
 from commplan.myopic import comm_policy_table, theta_nc_meeting
-from commplan.options import pair_forward
 from commplan.sim import SimConfig, monte_carlo
 from commplan.tables import EXPECTED, reproduce
 
 from conftest import TOY_GRID, toy_model
-from oracles import delta_independence, joint_pn
+from oracles import delta_independence, joint_pn, pair_forward
 from test_msbpi import enumeration_value, macro_mmdp_oracle
 from test_options import complete_pair
 

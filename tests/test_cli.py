@@ -145,6 +145,9 @@ def test_plan_lgo_needs_candidate_goals(capsys):
     [
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/twice.model"],
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/missing.model"],
+        ["plan", "--algo", "msbpi", "--model-file", "{tmp}/bare.model"],
+        ["plan", "--algo", "msbpi", "--max-option-length", "0"],
+        ["plan", "--algo", "lgo", "--domain", "production", "--comm-cost", "5"],
         ["plan", "--algo", "msbpi", "--pu", "0"],
         ["simulate", "--strategy", "lgo", "--domain", "meeting"],
         ["simulate", "--strategy", "subgoals", "--domain", "production"],
@@ -152,11 +155,13 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["simulate", "--strategy", "subgoals", "--subgoal-p", "0"],
         ["simulate", "--strategy", "no_comm", "--pu", "1.5"],
     ],
-    ids=["model-file-repeated-key", "model-file-missing", "plan-pu-0", "lgo-on-meeting",
+    ids=["model-file-repeated-key", "model-file-missing", "model-file-bare-key",
+         "max-option-length-0", "lgo-positive-comm-cost", "plan-pu-0", "lgo-on-meeting",
          "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5"],
 )
 def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")
+    (tmp_path / "bare.model").write_text("horizon\n")
     rc, _, err = run_cli(capsys, [a.format(tmp=tmp_path) for a in argv])
     assert rc == EXIT_USAGE
     assert err.startswith("error:")

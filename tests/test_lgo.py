@@ -340,6 +340,16 @@ def test_lgo_needs_candidates():
         lgo_msbpi(m, candidates1=[], candidates2=[GO_POL])
 
 
+def test_lgo_rejects_models_validate_rejects():
+    d = build_production(0.8, 0.8, T=4, comm_cost=5.0)
+    with pytest.raises(ValueError, match="comm_cost must be <= 0"):
+        lgo_msbpi(d.model, d.candidates1, d.candidates2)
+    m = toy_model()
+    m.agent1.transition[0, 0] = [np.nan, 1.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        lgo_msbpi(m)
+
+
 def test_lgo_value_simulates_to_itself(production_08):
     domain, mech = production_08
     s = domain.model.initial_state

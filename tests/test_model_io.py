@@ -147,6 +147,32 @@ def test_parse_rejects_repeated_keys(old, new, what):
         parse_model(SAMPLE.replace(old, new, 1))
 
 
+@pytest.mark.parametrize(
+    "old, new, what",
+    [
+        ("horizon 4", "horizon", "line 3: 'horizon' is missing a value"),
+        ("comm_cost -1.0", "comm_cost", "line 4: 'comm_cost' is missing a value"),
+        ("agent 1 left", "agent", "line 7: 'agent' is missing a value"),
+        ("noop stay", "noop", "line 10: 'noop' is missing a value"),
+        ("initial s0 s0", "initial s0", "line 5: 'initial' is missing a value"),
+        ("cost move -1", "cost move", "line 12: 'cost' is missing a value"),
+        ("horizon 4", "horizon 2.5", "line 3: '2.5' is not an integer"),
+        ("(s1,s1)", "(s1s1)", "line 25: goal pair '\\(s1s1\\)' has no comma"),
+    ],
+    ids=["horizon", "comm_cost", "agent", "noop", "initial", "cost", "horizon-float",
+         "goal-pair"],
+)
+def test_parse_rejects_missing_values(old, new, what):
+    assert old in SAMPLE
+    with pytest.raises(ModelFormatError, match=what):
+        parse_model(SAMPLE.replace(old, new, 1))
+
+
+def test_parse_rejects_a_missing_agent_block():
+    with pytest.raises(ModelFormatError, match="missing block 'agent 1'"):
+        parse_model("horizon 3\ncomm_cost -1\ninitial s0 s0\n")
+
+
 def test_serialize_rejects_rewards_the_format_cannot_carry():
     from conftest import toy_model
 

@@ -361,6 +361,12 @@ def test_msbpi_rejects_invalid_model():
         msbpi(m)
 
 
+@pytest.mark.parametrize("length", [0, -3])
+def test_msbpi_rejects_option_length_below_one(length):
+    with pytest.raises(ValueError, match="max_option_length must be >= 1"):
+        msbpi(toy_model(), max_option_length=length)
+
+
 def test_sweep_nodes_cover_every_sweep():
     for params in TOY_GRID:
         mech = msbpi(toy_model(**params))

@@ -14,9 +14,9 @@ import msbpi_reference as ref
 from commplan.domains import GridConfig, build_meeting
 from commplan.model import DecMdpCom, FactoredState
 from commplan.msbpi import NodeBudgetExceeded, improve_state, iteration_csv, msbpi
-from commplan.options import joint_f_value
 
 from conftest import TOY_GRID, chain_agent, toy_model
+from oracles import root_walk_f_value
 
 
 def assert_identical(mech, want):
@@ -88,4 +88,4 @@ def test_improve_state_value_is_the_pair_value(
     if res is None:
         return
     (tree1, tree2), value = res
-    assert value == joint_f_value(tree1, tree2, m, s, t, V)
+    assert value == root_walk_f_value(tree1, tree2, m, s, t, V)

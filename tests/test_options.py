@@ -4,31 +4,39 @@ Every probabilistic kernel is checked against an independently written
 oracle that uses a different mechanism: forward mass propagation against
 the backward recursion for costs, branch enumeration against the level
 sweep for termination masses, and a recursive expectimax against the
-bucketed forward pass for pair values.
+bucketed forward pass for pair values.  The pair-value fold and the
+one-level frontier step must also equal, bit for bit, the walks from the
+root kept in tests/oracles.py.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from commplan.model import FactoredState
+from commplan.model import DecMdpCom, FactoredState
 from commplan.options import (
     COMMUNICATE,
     PolicyTree,
+    _live_next,
+    _Successors,
     joint_f_value,
-    live_frontier,
-    live_levels,
-    pair_forward,
 )
 
 from conftest import TOY_GRID, chain_agent, toy_model
 from oracles import (
+    cap_with_comm,
     expected_cost_g,
     is_option,
     joint_pn,
     joint_rn,
+    live_frontier,
+    live_levels,
     p_reach,
     p_terminate,
+    pair_forward,
+    root_walk_f_value,
     validate_tree,
 )
 
@@ -427,3 +435,78 @@ def test_joint_f_value_matches_expectimax(seed, length, t, params):
             got = joint_f_value(trees[0], trees[1], m, s, t, V)
             want = expectimax_oracle(trees[0], trees[1], m, s, t, V)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+# ------------------------------------------------ the fold and the root walks
+
+KINDS = ("run-out", "complete", "capped")
+
+
+def tree_of_kind(kind, seed, agent, size, root):
+    """A random tree of at most `size` levels that communicates at few nodes.
+
+    "run-out" leaves about half of the reachable nodes below the root
+    empty, so branches run out mid-way; "capped" closes the deepest level
+    with communication; "complete" does neither.
+    """
+    rng = np.random.default_rng(seed)
+    assignment = {}
+    live = {root}
+    for d in range(size):
+        nxt = set()
+        for s in sorted(live):
+            if kind == "run-out" and d > 0 and rng.random() < 0.5:
+                continue
+            a = COMMUNICATE if rng.random() < 0.15 else int(rng.integers(agent.n_actions))
+            assignment[(s, d)] = a
+            if a != COMMUNICATE:
+                nxt.update(int(q) for q in agent.successors(s, a))
+        live = nxt
+        if not live:
+            break
+    tree = PolicyTree(root, assignment)
+    return cap_with_comm(tree, agent) if kind == "capped" else tree
+
+
+@given(
+    seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    params=st.one_of(st.none(), st.sampled_from(TOY_GRID)),
+    p=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+)
+def test_joint_f_value_is_the_root_walk(seeds, sizes, params, p):
+    if params is None:
+        m = DecMdpCom(
+            agent1=chain_agent("left", p[0]),
+            agent2=chain_agent("right", p[1]),
+            comm_cost=-0.5,
+            horizon=4,
+            initial_state=FactoredState(0, 0),
+        )
+    else:
+        m = toy_model(**params)
+    V = np.random.default_rng(seeds[0] ^ seeds[1]).normal(size=(m.horizon + 1, 2, 2))
+    for kind1, kind2, s1, s2 in itertools.product(KINDS, KINDS, range(2), range(2)):
+        tree1 = tree_of_kind(kind1, seeds[0], m.agent1, sizes[0], s1)
+        tree2 = tree_of_kind(kind2, seeds[1], m.agent2, sizes[1], s2)
+        s = FactoredState(s1, s2)
+        for t in range(m.horizon + 1):
+            got = joint_f_value(tree1, tree2, m, s, t, V)
+            assert got == root_walk_f_value(tree1, tree2, m, s, t, V)
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    size=st.integers(1, 5),
+    kind=st.sampled_from(KINDS),
+    root=st.integers(0, 1),
+    p=st.floats(0.05, 1.0),
+)
+def test_live_next_folds_to_live_levels(seed, size, kind, root, p):
+    agent = chain_agent(p=p)
+    tree = tree_of_kind(kind, seed, agent, size, root)
+    succ = _Successors(agent)
+    levels = [{tree.root_state}]
+    for d in range(tree.size):
+        levels.append(_live_next(levels[-1], tree, d, succ))
+    assert levels == live_levels(tree, agent)
