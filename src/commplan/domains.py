@@ -241,7 +241,8 @@ def build_production(
     Each step each machine attempts one part of the type its policy picks,
     succeeding with its own probability; both machines pay the action cost
     every step.  The terminal payoff (matched pairs across machines) enters
-    the joint model as a potential, so no boundary term is needed.
+    the joint model as a potential array, potential[s1, s2] = min(b_a, c_a)
+    + min(b_b, c_b), so no boundary term is needed.
     """
     init_state = ProductionState(*initial)
     machine1, caps1 = _machine_model(
@@ -251,12 +252,8 @@ def build_production(
         "machine2", p_m2, (init_state.c_a, init_state.c_b), T, action_cost
     )
     nb1, nb2 = caps1[1] + 1, caps2[1] + 1
-
-    def potential(s1: int, s2: int) -> float:
-        b_a, b_b = divmod(s1, nb1)
-        c_a, c_b = divmod(s2, nb2)
-        return float(min(b_a, c_a) + min(b_b, c_b))
-
+    b_a, b_b = np.divmod(np.arange(machine1.n_states), nb1)
+    c_a, c_b = np.divmod(np.arange(machine2.n_states), nb2)
     model = DecMdpCom(
         agent1=machine1,
         agent2=machine2,
@@ -266,9 +263,7 @@ def build_production(
             init_state.b_a * nb1 + init_state.b_b,
             init_state.c_a * nb2 + init_state.c_b,
         ),
-        goal_predicate=None,
-        potential=potential,
-        extra_reward=None,
+        potential=np.minimum.outer(b_a, c_a) + np.minimum.outer(b_b, c_b),
         name="production",
     )
     opts = [ProductionOption(o.x_a, o.x_b) if not isinstance(o, ProductionOption) else o for o in options]
@@ -306,26 +301,37 @@ class JointPolicy:
         return code // self.n_actions2, code % self.n_actions2
 
 
+def _expected_extra(m: DecMdpCom) -> np.ndarray:
+    """E[a1, a2, s1, s2]: the expected extra reward of the action pair (a1, a2)
+    in (s1, s2), sum over s1', s2' of P1 * P2 * extra(s1, s2, s1', s2').
+
+    The callable is evaluated once per state pair and pair of successors that
+    some action can reach, read off the transition rows."""
+    P1, P2 = m.agent1.transition, m.agent2.transition
+    succ1 = [np.flatnonzero((P1[i] > 0.0).any(axis=0)) for i in range(len(P1))]
+    succ2 = [np.flatnonzero((P2[j] > 0.0).any(axis=0)) for j in range(len(P2))]
+    E = np.empty((P1.shape[1], P2.shape[1], len(P1), len(P2)))
+    for i, q1 in enumerate(succ1):
+        for j, q2 in enumerate(succ2):
+            X = np.array([[m.extra_reward(i, j, x, y) for y in q2] for x in q1], float)
+            E[:, :, i, j] = P1[i][:, q1] @ X @ P2[j][:, q2].T
+    return E
+
+
 def solve_joint_mmdp(m: DecMdpCom) -> JointPolicy:
     """Backward induction on the flat joint process (free full information).
 
     The terminal value is the potential (the telescoped state payoff); each
-    step adds both action costs and any extra state reward.  Used for the
-    full-communication baselines.
+    step adds both action costs and the pair's expected extra reward, inside
+    the max.  Used for the full-communication baselines.
     """
     n1, n2 = m.agent1.n_states, m.agent2.n_states
     A1, A2 = m.agent1.n_actions, m.agent2.n_actions
-    phi = m.potential_matrix()
-    V = phi.copy() if phi is not None else np.zeros((n1, n2))
+    V = m.potential.copy() if m.potential is not None else np.zeros((n1, n2))
     acts = np.zeros((m.horizon, n1, n2), dtype=np.int16)
     c1 = m.agent1.action_cost if m.agent1.action_cost is not None else np.zeros(A1)
     c2 = m.agent2.action_cost if m.agent2.action_cost is not None else np.zeros(A2)
-    extra = None
-    if m.extra_reward is not None:
-        extra = np.empty((n1, n2))
-        for i in range(n1):
-            for j in range(n2):
-                extra[i, j] = m.extra_reward(i, j, i, j)
+    extra = _expected_extra(m) if m.extra_reward is not None else None
     for t in range(m.horizon - 1, -1, -1):
         best = np.full((n1, n2), -np.inf)
         for a1 in range(A1):
@@ -333,12 +339,12 @@ def solve_joint_mmdp(m: DecMdpCom) -> JointPolicy:
             for a2 in range(A2):
                 M2 = m.agent2.transition[:, a2, :]
                 Q = c1[a1] + c2[a2] + M1 @ V @ M2.T
+                if extra is not None:
+                    Q = Q + extra[a1, a2]
                 code = a1 * A2 + a2
                 better = Q > best
                 acts[t][better] = code
                 best = np.maximum(best, Q)
-        if extra is not None:
-            best = best + extra
         V = best
     return JointPolicy(actions=acts, value=V, n_actions2=A2)
 
@@ -464,10 +470,6 @@ class MeetingDomain:
     def decode(self, s: int) -> Tuple[int, int]:
         return divmod(s, self.config.height)
 
-    @property
-    def initial_distance(self) -> int:
-        return manhattan(self.config.start1, self.config.start2)
-
 
 def build_meeting(cfg: GridConfig) -> MeetingDomain:
     """Two walkers on a bounded grid; co-location is the global goal.
@@ -491,8 +493,7 @@ def build_meeting(cfg: GridConfig) -> MeetingDomain:
             cfg.start1[0] * cfg.height + cfg.start1[1],
             cfg.start2[0] * cfg.height + cfg.start2[1],
         ),
-        goal_predicate=lambda s1, s2: s1 == s2,
-        potential=None,
+        goal=np.eye(agent1.n_states, dtype=bool),
         extra_reward=extra,
         name="meeting",
     )

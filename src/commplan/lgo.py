@@ -69,16 +69,6 @@ class GoalAssignment:
         if self.k < 1:
             raise ValueError(f"window length must be at least 1, got {self.k}")
 
-    @property
-    def key(self) -> Tuple[str, str, int]:
-        return (self.g1.label, self.g2.label, self.k)
-
-    def __eq__(self, other):
-        return isinstance(other, GoalAssignment) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
 
 @dataclass(eq=False)
 class LgoMechanism:
@@ -257,10 +247,9 @@ class _WindowCache:
 
 
 def _phi_matrix(m: DecMdpCom) -> np.ndarray:
-    phi = m.potential_matrix()
-    if phi is None:
+    if m.potential is None:
         return np.zeros((m.agent1.n_states, m.agent2.n_states))
-    return phi
+    return m.potential
 
 
 class _Window(NamedTuple):
@@ -415,34 +404,12 @@ def _by_label(pols: Sequence[LocalGoalPolicy], agent: int) -> Dict[str, LocalGoa
     return out
 
 
-def _table_arrays(table: Mapping, m: DecMdpCom):
-    """Candidate lists and g1, g2, k arrays of a dict (s1, s2, t) -> GoalAssignment."""
-    T = m.horizon
-    n1, n2 = m.agent1.n_states, m.agent2.n_states
-    cells = [
-        table[(s1, s2, t)] for t in range(T) for s1 in range(n1) for s2 in range(n2)
-    ]
-    cand1 = list(_by_label([a.g1 for a in cells], 1).values())
-    cand2 = list(_by_label([a.g2 for a in cells], 2).values())
-    pos1 = {pol.label: i for i, pol in enumerate(cand1)}
-    pos2 = {pol.label: i for i, pol in enumerate(cand2)}
-    shape = (T, n1, n2)
-    g1 = np.array([pos1[a.g1.label] for a in cells], dtype=np.intp).reshape(shape)
-    g2 = np.array([pos2[a.g2.label] for a in cells], dtype=np.intp).reshape(shape)
-    k = np.array([a.k for a in cells], dtype=np.intp).reshape(shape)
-    return cand1, cand2, g1, g2, k
-
-
-def evaluate_lgo(delta, m: DecMdpCom) -> np.ndarray:
-    """Value table of a goal-assignment mechanism; V[horizon] = 0.
-
-    delta is an LgoMechanism or a dict (s1, s2, t) -> GoalAssignment covering
-    every cell."""
-    if isinstance(delta, LgoMechanism):
-        table = (delta.candidates1, delta.candidates2, delta.g1, delta.g2, delta.k)
-    else:
-        table = _table_arrays(delta, m)
-    return _evaluate_table(m, _WindowCache(m), *table, _phi_matrix(m))
+def evaluate_lgo(mech: LgoMechanism, m: DecMdpCom) -> np.ndarray:
+    """Value table of a goal-assignment mechanism's table; V[horizon] = 0."""
+    return _evaluate_table(
+        m, _WindowCache(m), mech.candidates1, mech.candidates2, mech.g1, mech.g2, mech.k,
+        _phi_matrix(m),
+    )
 
 
 def default_candidates(agent: AgentModel, T: int) -> List[LocalGoalPolicy]:

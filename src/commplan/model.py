@@ -3,7 +3,9 @@
 The global process factors into two independent local processes: each agent
 fully observes its own local state, the joint transition probability is the
 product of the local ones, and the only way to learn the other agent's state
-is a joint message exchange charged ``comm_cost`` once per exchange.
+is a joint message exchange charged ``comm_cost`` once per exchange.  So
+every state-indexed joint term is an (n1, n2) array, and the joint states
+reachable in j steps are the product of the two agents' local reachable sets.
 validate() reports what the planners rely on: shapes, finite numbers,
 stochastic rows, a non-positive exchange cost and a reachable goal.
 """
@@ -56,10 +58,6 @@ class AgentModel:
             return self.state_labels[s]
         return str(s)
 
-    def successors(self, s: int, a: int) -> np.ndarray:
-        """Indices of local states reachable in one step under action a."""
-        return np.nonzero(self.transition[s, a] > 0.0)[0]
-
     def violations(self) -> list:
         """Invariant violations of this local model, empty when well formed."""
         out = []
@@ -103,13 +101,15 @@ class DecMdpCom:
 
     Per-step system reward decomposes as
 
-        action_cost1[a1] + action_cost2[a2] + (potential(s') - potential(s)) + extra(s, s')
+        action_cost1[a1] + action_cost2[a2] + (potential[s'] - potential[s]) + extra(s, s')
 
     where a communicating agent executes no domain action that step (its term
-    drops out and its local state freezes).  ``potential`` is a state score
-    whose per-step increments telescope to a terminal score, which is how
-    end-of-horizon payoffs are expressed without a special boundary term.
-    comm_cost is charged once per joint exchange, never per agent.
+    drops out and its local state freezes).  ``potential`` is a float array of
+    shape (n1, n2), a state score whose per-step increments telescope to a
+    terminal score, which is how end-of-horizon payoffs are expressed without
+    a special boundary term.  ``goal`` is a bool array of the same shape that
+    marks the global goal states.  Either may be None.  comm_cost is charged
+    once per joint exchange, never per agent.
     """
 
     agent1: AgentModel
@@ -117,15 +117,16 @@ class DecMdpCom:
     comm_cost: float
     horizon: int
     initial_state: FactoredState
-    goal_predicate: Optional[Callable[[int, int], bool]] = None
-    potential: Optional[Callable[[int, int], float]] = None
+    goal: Optional[np.ndarray] = None
+    potential: Optional[np.ndarray] = None
     extra_reward: Optional[Callable[[int, int, int, int], float]] = None
     name: str = "decmdp"
 
-    def is_goal(self, s1: int, s2: int) -> bool:
-        if self.goal_predicate is None:
-            return False
-        return bool(self.goal_predicate(s1, s2))
+    def __post_init__(self):
+        if self.goal is not None:
+            self.goal = np.asarray(self.goal, dtype=bool)
+        if self.potential is not None:
+            self.potential = np.asarray(self.potential, dtype=float)
 
     def action_cost(self, agent_index: int, a: Optional[int]) -> float:
         if a is None:
@@ -147,53 +148,29 @@ class DecMdpCom:
         """System reward for one step; a None action means that agent communicated."""
         r = self.action_cost(1, a1) + self.action_cost(2, a2)
         if self.potential is not None:
-            r += self.potential(ns1, ns2) - self.potential(s1, s2)
+            r += float(self.potential[ns1, ns2] - self.potential[s1, s2])
         if self.extra_reward is not None:
             r += self.extra_reward(s1, s2, ns1, ns2)
         return r
 
-    def potential_matrix(self) -> Optional[np.ndarray]:
-        """potential evaluated on every global state, shape (n1, n2); None if unset."""
-        if self.potential is None:
-            return None
-        n1, n2 = self.agent1.n_states, self.agent2.n_states
-        return np.array([[self.potential(i, j) for j in range(n2)] for i in range(n1)], float)
 
+def _goal_reachable_within(m: DecMdpCom) -> bool:
+    """Whether some global goal is reachable within the horizon.
 
-def _goal_reachable_within(m: DecMdpCom, max_visited: int = 200_000) -> Optional[bool]:
-    """Breadth-first reachability of any global goal within the horizon.
-
-    Returns None when the joint space is too large to settle the question
-    within the visit budget.
+    The agents move independently, so the joint states reachable in exactly j
+    steps are R1(j) x R2(j); each local set steps through the agent's
+    one-step support under any action.
     """
-    if m.goal_predicate is None:
-        return None
-    start = (m.initial_state.s1, m.initial_state.s2)
-    if m.is_goal(*start):
-        return True
-    frontier = {start}
-    seen = {start}
-    for _ in range(m.horizon):
-        nxt = set()
-        for s1, s2 in frontier:
-            for a1 in range(m.agent1.n_actions):
-                succ1 = m.agent1.successors(s1, a1)
-                for a2 in range(m.agent2.n_actions):
-                    succ2 = m.agent2.successors(s2, a2)
-                    for t1 in succ1:
-                        for t2 in succ2:
-                            q = (int(t1), int(t2))
-                            if q in seen:
-                                continue
-                            if m.is_goal(*q):
-                                return True
-                            seen.add(q)
-                            nxt.add(q)
-                            if len(seen) > max_visited:
-                                return None
-        if not nxt:
-            return False
-        frontier = nxt
+    step1 = (m.agent1.transition > 0.0).any(axis=1)
+    step2 = (m.agent2.transition > 0.0).any(axis=1)
+    r1 = np.zeros(m.agent1.n_states, dtype=bool)
+    r2 = np.zeros(m.agent2.n_states, dtype=bool)
+    r1[m.initial_state.s1] = r2[m.initial_state.s2] = True
+    for j in range(m.horizon + 1):
+        if m.goal[np.ix_(r1, r2)].any():
+            return True
+        if j < m.horizon:
+            r1, r2 = step1[r1].any(axis=0), step2[r2].any(axis=0)
     return False
 
 
@@ -208,6 +185,14 @@ def validate(m: DecMdpCom) -> list:
         out.append(f"comm_cost must be finite, got {m.comm_cost}")
     elif m.comm_cost > 0:
         out.append(f"comm_cost must be <= 0, got {m.comm_cost}")
+    shape = (m.agent1.n_states, m.agent2.n_states)
+    for what, table in (("goal", m.goal), ("potential", m.potential)):
+        if table is not None and table.shape != shape:
+            out.append(f"{what} shape {table.shape} does not match {shape}")
+    if m.potential is not None:
+        bad = np.argwhere(~np.isfinite(m.potential))
+        if len(bad):
+            out.append(f"non-finite potential at state {tuple(bad[0].tolist())}")
     s0 = m.initial_state
     if not (0 <= s0.s1 < m.agent1.n_states and 0 <= s0.s2 < m.agent2.n_states):
         out.append(f"initial state {s0} out of range")
@@ -218,8 +203,8 @@ def validate(m: DecMdpCom) -> list:
                 out.append("joint reward is not finite at the initial state")
         except Exception as exc:  # noqa: BLE001 - report, do not raise
             out.append(f"joint reward undefined at the initial state: {exc}")
-        reachable = _goal_reachable_within(m)
-        if reachable is False:
+        # reachability is settled only on a model without violations
+        if m.goal is not None and not out and not _goal_reachable_within(m):
             out.append(
                 f"warning: no global goal state reachable within {m.horizon} steps"
             )

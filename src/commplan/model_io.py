@@ -26,8 +26,10 @@ first, then one block per agent, then optional joint goal pairs:
     goal_pairs (s1,s1)
 
 States and actions are referenced by label.  Transition rows not listed
-default to staying in place with probability 1.  Every key needs its
-values, numbers must be finite, the horizon and agent index integers, and
+default to staying in place with probability 1.  The goal pairs fill the
+model's (n1, n2) goal mask.  Every key takes exactly its number of values
+(the agent name is optional, and states, actions, goals and goal_pairs take
+a list), numbers must be finite, the horizon and agent index integers, and
 no key, action cost or (state, action) trans row may repeat.
 Serialization is canonical (sorted, fixed formatting), so parse -> serialize
 -> parse is an identity; models with a potential or an extra reward, which
@@ -65,11 +67,17 @@ def _integer(tok: str, ln: int) -> int:
         raise ModelFormatError(f"line {ln}: '{tok}' is not an integer") from None
 
 
-def _arg(toks: list, k: int, ln: int) -> str:
-    """Token k of a line, or an error naming the line when it is missing."""
-    if k >= len(toks):
+def _values(toks: list, ln: int, fewest: int, most: Optional[float] = None) -> list:
+    """The values after a line's key, between fewest and most of them (exactly
+    fewest when most is None), or an error naming the line."""
+    vals = toks[1:]
+    if len(vals) < fewest:
         raise ModelFormatError(f"line {ln}: '{toks[0]}' is missing a value")
-    return toks[k]
+    most = fewest if most is None else most
+    if len(vals) > most:
+        extra = " ".join(vals[int(most):])
+        raise ModelFormatError(f"line {ln}: '{toks[0]}' has extra tokens: {extra}")
+    return vals
 
 
 def _once(seen: dict, key, ln: int, what: str) -> None:
@@ -91,7 +99,7 @@ def _parse_agent_block(lines, i, expected_index):
     if i >= len(lines):
         raise ModelFormatError(f"missing block 'agent {expected_index}'")
     ln, toks = lines[i]
-    if toks[0] != "agent" or _integer(_arg(toks, 1, ln), ln) != expected_index:
+    if toks[0] != "agent" or _integer(_values(toks, ln, 1, 2)[0], ln) != expected_index:
         raise ModelFormatError(f"line {ln}: expected 'agent {expected_index}'")
     name = toks[2] if len(toks) > 2 else f"agent{expected_index}"
     i += 1
@@ -106,13 +114,11 @@ def _parse_agent_block(lines, i, expected_index):
             break
         if key in ("states", "actions", "noop", "goals"):
             _once(seen, key, ln, f"key '{key}'")
-            if key == "noop":
-                _arg(toks, 1, ln)
-            fields[key] = toks[1:]
+            fields[key] = _values(toks, ln, 1) if key == "noop" else toks[1:]
         elif key == "cost":
-            a_lbl = _arg(toks, 1, ln)
+            a_lbl, c = _values(toks, ln, 2)
             _once(seen, ("cost", a_lbl), ln, f"cost for action '{a_lbl}'")
-            costs[a_lbl] = _number(_arg(toks, 2, ln), ln)
+            costs[a_lbl] = _number(c, ln)
         elif key == "trans":
             if ":" not in toks:
                 raise ModelFormatError(f"line {ln}: trans row missing ':'")
@@ -191,13 +197,13 @@ def parse_model(text: str) -> DecMdpCom:
         if key in ("model", "horizon", "comm_cost", "initial"):
             _once(seen, key, ln, f"key '{key}'")
         if key == "model":
-            name = _arg(toks, 1, ln)
+            (name,) = _values(toks, ln, 1)
         elif key == "horizon":
-            horizon = _integer(_arg(toks, 1, ln), ln)
+            horizon = _integer(_values(toks, ln, 1)[0], ln)
         elif key == "comm_cost":
-            comm_cost = _number(_arg(toks, 1, ln), ln)
+            comm_cost = _number(_values(toks, ln, 1)[0], ln)
         elif key == "initial":
-            initial = (_arg(toks, 1, ln), _arg(toks, 2, ln))
+            initial = _values(toks, ln, 2)
         elif key == "agent":
             break
         else:
@@ -207,12 +213,13 @@ def parse_model(text: str) -> DecMdpCom:
         raise ModelFormatError("header must define horizon, comm_cost and initial")
     agent1, i = _parse_agent_block(lines, i, 1)
     agent2, i = _parse_agent_block(lines, i, 2)
-    goal_pairs = set()
+    goal = None
     if i < len(lines):
         ln, toks = lines[i]
         if toks[0] != "goal_pairs":
             raise ModelFormatError(f"line {ln}: expected 'goal_pairs', got '{toks[0]}'")
-        for tok in toks[1:]:
+        goal = np.zeros((agent1.n_states, agent2.n_states), dtype=bool)
+        for tok in _values(toks, ln, 1, math.inf):
             l1, comma, l2 = tok.strip("()").partition(",")
             if not comma:
                 raise ModelFormatError(f"line {ln}: goal pair '{tok}' has no comma")
@@ -221,7 +228,7 @@ def parse_model(text: str) -> DecMdpCom:
                 g2 = agent2.state_labels.index(l2)
             except ValueError as exc:
                 raise ModelFormatError(f"line {ln}: unknown goal pair '{tok}'") from exc
-            goal_pairs.add((g1, g2))
+            goal[g1, g2] = True
         i += 1
     if i < len(lines):
         ln, _ = lines[i]
@@ -234,17 +241,13 @@ def parse_model(text: str) -> DecMdpCom:
             raise ModelFormatError(f"initial state '{label}' unknown for {agent.name}") from exc
 
     s0 = FactoredState(lookup(agent1, initial[0]), lookup(agent2, initial[1]))
-    goal_predicate = None
-    if goal_pairs:
-        frozen = frozenset(goal_pairs)
-        goal_predicate = lambda s1, s2: (s1, s2) in frozen  # noqa: E731
     return DecMdpCom(
         agent1=agent1,
         agent2=agent2,
         comm_cost=comm_cost,
         horizon=horizon,
         initial_state=s0,
-        goal_predicate=goal_predicate,
+        goal=goal,
         name=name,
     )
 
@@ -283,12 +286,7 @@ def serialize_model(m: DecMdpCom) -> str:
                     continue  # the implicit stay-in-place default
                 cells = " ".join(f"{labels[t]} {_fmt(row[t])}" for t in nz)
                 out.append(f"  trans {labels[s]} {agent.actions[a]} : {cells}")
-    pairs = []
-    if m.goal_predicate is not None:
-        for i in range(a1.n_states):
-            for j in range(a2.n_states):
-                if m.is_goal(i, j):
-                    pairs.append(f"({lbl1[i]},{lbl2[j]})")
+    pairs = [] if m.goal is None else [f"({lbl1[i]},{lbl2[j]})" for i, j in np.argwhere(m.goal)]
     if pairs:
         out.append("")
         out.append("goal_pairs " + " ".join(pairs))
@@ -296,8 +294,15 @@ def serialize_model(m: DecMdpCom) -> str:
 
 
 def models_equal(m1: DecMdpCom, m2: DecMdpCom) -> bool:
-    """Structural equality of everything the text format represents; the
-    potential and extra reward it cannot represent must be the same objects."""
+    """Structural equality of everything the text format represents.  The
+    potential it cannot represent must be equal by value, and the extra reward
+    must be the same object.  A None goal or potential equals an all-False or
+    all-zero one."""
+    shape = (m1.agent1.n_states, m1.agent2.n_states)
+
+    def table(x: Optional[np.ndarray], dtype) -> np.ndarray:
+        return np.zeros(shape, dtype) if x is None else x
+
     def labels(a: AgentModel):
         return a.state_labels or tuple(str(i) for i in range(a.n_states))
 
@@ -316,19 +321,14 @@ def models_equal(m1: DecMdpCom, m2: DecMdpCom) -> bool:
             and x.name == y.name
         )
 
-    if not (
+    return (
         agents_equal(m1.agent1, m2.agent1)
         and agents_equal(m1.agent2, m2.agent2)
         and m1.comm_cost == m2.comm_cost
         and m1.horizon == m2.horizon
         and m1.initial_state == m2.initial_state
         and m1.name == m2.name
-        and m1.potential is m2.potential
+        and np.array_equal(table(m1.potential, float), table(m2.potential, float))
         and m1.extra_reward is m2.extra_reward
-    ):
-        return False
-    for i in range(m1.agent1.n_states):
-        for j in range(m1.agent2.n_states):
-            if m1.is_goal(i, j) != m2.is_goal(i, j):
-                return False
-    return True
+        and np.array_equal(table(m1.goal, bool), table(m2.goal, bool))
+    )

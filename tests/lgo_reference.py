@@ -9,7 +9,11 @@ per-cell window walk (_window_forward) is a frozen copy, independent of the
 library's forward kernel.  What this module pins down is the table bookkeeping, the sweep order and the
 summation order of each candidate score.  Only the result type differs from
 the original: it is a local ReferenceMechanism, because the library's
-LgoMechanism now holds arrays.
+LgoMechanism now holds arrays.  An assignment's key (both labels and the
+window) is read through key(), since GoalAssignment no longer defines one.
+
+table_mechanism converts a dict table into the library's LgoMechanism, so
+tests can run the library's array evaluator on dict-built tables.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import numpy as np
 
 from commplan.lgo import (
     GoalAssignment,
+    LgoMechanism,
     LocalGoalPolicy,
+    _by_label,
     _phi_matrix,
     _WindowCache,
     default_candidates,
@@ -41,6 +47,34 @@ class ReferenceMechanism:
 
     def assignment_at(self, s1: int, s2: int, t: int) -> GoalAssignment:
         return self.assignment[(s1, s2, t)]
+
+
+def key(asg: GoalAssignment) -> Tuple[str, str, int]:
+    return (asg.g1.label, asg.g2.label, asg.k)
+
+
+def table_mechanism(table: Dict[Tuple[int, int, int], GoalAssignment], m: DecMdpCom) -> LgoMechanism:
+    """The library's array form of a dict (s1, s2, t) -> GoalAssignment table
+    covering every cell.  Its value table is left NaN; evaluate_lgo fills
+    one in.  Two different policies under one label are rejected."""
+    T = m.horizon
+    n1, n2 = m.agent1.n_states, m.agent2.n_states
+    cells = [
+        table[(s1, s2, t)] for t in range(T) for s1 in range(n1) for s2 in range(n2)
+    ]
+    cand1 = list(_by_label([a.g1 for a in cells], 1).values())
+    cand2 = list(_by_label([a.g2 for a in cells], 2).values())
+    pos1 = {pol.label: i for i, pol in enumerate(cand1)}
+    pos2 = {pol.label: i for i, pol in enumerate(cand2)}
+    shape = (T, n1, n2)
+    return LgoMechanism(
+        candidates1=cand1,
+        candidates2=cand2,
+        g1=np.array([pos1[a.g1.label] for a in cells], dtype=np.intp).reshape(shape),
+        g2=np.array([pos2[a.g2.label] for a in cells], dtype=np.intp).reshape(shape),
+        k=np.array([a.k for a in cells], dtype=np.intp).reshape(shape),
+        value=np.full((T + 1, n1, n2), np.nan),
+    )
 
 
 def _window_forward(
@@ -115,9 +149,9 @@ def _evaluate_assignment_table(
                         f"assignment at ({s1}, {s2}, {t}) has window {asg.k} "
                         f"running past the horizon {m.horizon}"
                     )
-                groups.setdefault(asg.key, [asg, [], []])
-                groups[asg.key][1].append(s1)
-                groups[asg.key][2].append(s2)
+                group = groups.setdefault(key(asg), [asg, [], []])
+                group[1].append(s1)
+                group[2].append(s2)
         for asg, idx1, idx2 in groups.values():
             if fast:
                 F = _f_matrix(m, cache, asg.g1, asg.g2, t, asg.k, V[t + asg.k], phi)

@@ -20,6 +20,11 @@ the definitions live here and are checked against those kernels:
   recursion and the exchange-time table in commplan.myopic.  They read time
   stamps from TimedState; a model state (a plain pair) is taken at time 0.
 - welch_ttest compares two Monte-Carlo batches from commplan.sim.
+- successors, is_goal, goal_reachable_bfs and joint_induction read a joint
+  model state by state: goal_reachable_bfs is the joint-state search that
+  validate() ran before its reachability became a product of two local
+  sets, and joint_induction is the flat backward induction over every
+  action pair and successor pair that solve_joint_mmdp must equal.
 
 Bodies are as they were in the library, except that the myopic ones read
 time stamps through _stamp, since model states no longer carry one.
@@ -51,6 +56,83 @@ class TimedState(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# joint model, state by state
+
+
+def successors(agent: AgentModel, s: int, a: int) -> np.ndarray:
+    """Indices of local states reachable in one step under action a."""
+    return np.nonzero(agent.transition[s, a] > 0.0)[0]
+
+
+def is_goal(m: DecMdpCom, s1: int, s2: int) -> bool:
+    return m.goal is not None and bool(m.goal[s1, s2])
+
+
+def goal_reachable_bfs(m: DecMdpCom, max_visited: int = 200_000) -> Optional[bool]:
+    """Breadth-first reachability of any global goal within the horizon.
+
+    Returns None when the joint space is too large to settle the question
+    within the visit budget.
+    """
+    if m.goal is None:
+        return None
+    start = (m.initial_state.s1, m.initial_state.s2)
+    if is_goal(m, *start):
+        return True
+    frontier = {start}
+    seen = {start}
+    for _ in range(m.horizon):
+        nxt = set()
+        for s1, s2 in frontier:
+            for a1 in range(m.agent1.n_actions):
+                succ1 = successors(m.agent1, s1, a1)
+                for a2 in range(m.agent2.n_actions):
+                    succ2 = successors(m.agent2, s2, a2)
+                    for t1 in succ1:
+                        for t2 in succ2:
+                            q = (int(t1), int(t2))
+                            if q in seen:
+                                continue
+                            if is_goal(m, *q):
+                                return True
+                            seen.add(q)
+                            nxt.add(q)
+                            if len(seen) > max_visited:
+                                return None
+        if not nxt:
+            return False
+        frontier = nxt
+    return False
+
+
+def joint_induction(m: DecMdpCom) -> np.ndarray:
+    """Optimal full-information value from time zero, shape (n1, n2).
+
+    Each step takes the best action pair's expected step_reward plus next
+    value, summed over every successor pair.  The potential's increments
+    telescope to potential[s_T] - potential[s_0], so adding potential[s_0]
+    at the end gives the value with the terminal potential as payoff."""
+    n1, n2 = m.agent1.n_states, m.agent2.n_states
+    V = np.zeros((n1, n2))
+    for _ in range(m.horizon):
+        nxt = np.empty((n1, n2))
+        for s1 in range(n1):
+            for s2 in range(n2):
+                best = -math.inf
+                for a1 in range(m.agent1.n_actions):
+                    for a2 in range(m.agent2.n_actions):
+                        q = 0.0
+                        for x in successors(m.agent1, s1, a1):
+                            for y in successors(m.agent2, s2, a2):
+                                p = m.agent1.transition[s1, a1, x] * m.agent2.transition[s2, a2, y]
+                                q += p * (m.step_reward(s1, s2, a1, a2, x, y) + V[x, y])
+                        best = max(best, q)
+                nxt[s1, s2] = best
+        V = nxt
+    return V if m.potential is None else V + m.potential
+
+
+# ---------------------------------------------------------------------------
 # policy trees and tree-pair windows
 
 
@@ -67,7 +149,7 @@ def live_levels(tree: PolicyTree, agent: AgentModel):
             a = tree.action_at(s, d)
             if a is None or a == COMMUNICATE:
                 continue
-            nxt.update(int(q) for q in agent.successors(s, a))
+            nxt.update(int(q) for q in successors(agent, s, a))
         live.append(nxt)
     return live
 
@@ -182,7 +264,7 @@ def validate_tree(tree: PolicyTree, agent: AgentModel, max_size: Optional[int] =
             if not (0 <= a < agent.n_actions):
                 out.append(f"node (state {s}, depth {d}) has invalid action {a}")
                 continue
-            nxt.update(int(q) for q in agent.successors(s, a))
+            nxt.update(int(q) for q in successors(agent, s, a))
         live = nxt
     return out
 
@@ -469,7 +551,7 @@ def theta_nc(
     t0 = _stamp(s0) or 0
 
     def rec(s1: int, s2: int, t: int) -> float:
-        if m.is_goal(s1, s2):
+        if is_goal(m, s1, s2):
             return 0.0
         if t >= m.horizon:
             return 0.0
@@ -600,7 +682,7 @@ def theta_c(
             joint = TimedState(int(q), s.s2, t)
         else:
             joint = TimedState(s.s1, int(q), t)
-        flag = 0.0 if m.is_goal(joint.s1, joint.s2) else 1.0
+        flag = 0.0 if is_goal(m, joint.s1, joint.s2) else 1.0
         r = rbar(m, s0, joint, policies)
         cont = theta_nc(m, joint, policies, _memo=memo)
         total += row[q] * (r + cont + m.comm_cost * flag)

@@ -30,6 +30,8 @@ from commplan.domains import (
     step_toward,
 )
 from commplan.model import validate
+from conftest import TOY_GRID, toy_model
+from oracles import joint_induction, successors
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,20 @@ def test_joint_policy_decodes_action_pairs():
     assert pol.action_pair(0, 0, 0) == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [toy_model(**params) for params in TOY_GRID]
+    + [build_meeting(GridConfig(width=3, height=3, p1=0.7, p2=0.6, start2=(2, 2),
+                                horizon_cap=5)).model],
+    ids=[f"toy{i}" for i in range(len(TOY_GRID))] + ["meeting3x3"],
+)
+def test_joint_optimum_matches_brute_force_induction(m):
+    # the toys pay their bonus on the post-step state, so the extra reward
+    # must enter each action pair's expectation, not the stay-put state
+    np.testing.assert_allclose(solve_joint_mmdp(m).value, joint_induction(m),
+                               rtol=0, atol=1e-12)
+
+
 def test_joint_optimum_deterministic_production():
     dom = build_production(1.0, 1.0, T=10)
     pol = dom.joint_policy
@@ -211,10 +227,6 @@ def test_meeting_model_passes_validation():
     assert validate(dom.model) == []
 
 
-def test_meeting_initial_distance_on_default_grid():
-    assert build_meeting(GridConfig()).initial_distance == 18
-
-
 def test_meeting_edge_moves_clamp_in_place():
     dom = build_meeting(GridConfig(width=3, height=3, p1=0.7, p2=0.7,
                                    start2=(2, 2)))
@@ -257,8 +269,8 @@ def test_meeting_goal_and_step_charge():
     m = dom.model
     a = dom.encode((1, 1))
     b = dom.encode((2, 0))
-    assert m.is_goal(a, a)
-    assert not m.is_goal(a, b)
+    assert m.goal[a, a]
+    assert not m.goal[a, b]
     # one unit per step while apart, nothing once co-located
     assert m.step_reward(a, b, STAY, STAY, a, b) == -1.0
     assert m.step_reward(a, a, STAY, STAY, a, b) == 0.0
@@ -274,8 +286,8 @@ def test_meeting_distance_changes_at_most_two_per_step():
             d = manhattan(dom.decode(s1), dom.decode(s2))
             for a1 in range(5):
                 for a2 in range(5):
-                    for q1 in m.agent1.successors(s1, a1):
-                        for q2 in m.agent2.successors(s2, a2):
+                    for q1 in successors(m.agent1, s1, a1):
+                        for q2 in successors(m.agent2, s2, a2):
                             dq = manhattan(dom.decode(int(q1)),
                                            dom.decode(int(q2)))
                             assert abs(dq - d) <= 2

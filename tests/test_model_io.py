@@ -50,7 +50,7 @@ def test_parse_sample_model():
     assert m.agent1.transition[0, 1, 0] == pytest.approx(1.0)
     assert m.agent2.transition[0, 0, 1] == pytest.approx(0.7)
     assert m.agent1.noop == 1
-    assert m.is_goal(1, 1) and not m.is_goal(0, 1)
+    assert m.goal[1, 1] and not m.goal[0, 1]
 
 
 def test_round_trip_is_identity():
@@ -103,12 +103,12 @@ def test_serializes_models_built_in_code():
         comm_cost=-0.5,
         horizon=3,
         initial_state=FactoredState(0, 0),
-        goal_predicate=lambda s1, s2: s1 == 1 and s2 == 1,
+        goal=[[False, False], [False, True]],
         name="pairwalk",
     )
     again = parse_model(serialize_model(m))
     assert models_equal(m, again)
-    assert again.is_goal(1, 1)
+    assert again.goal[1, 1]
 
 
 @pytest.mark.parametrize(
@@ -168,6 +168,25 @@ def test_parse_rejects_missing_values(old, new, what):
         parse_model(SAMPLE.replace(old, new, 1))
 
 
+@pytest.mark.parametrize(
+    "old, new, what",
+    [
+        ("horizon 4", "horizon 4 9", "line 3: 'horizon' has extra tokens: 9"),
+        ("comm_cost -1.0", "comm_cost -1.0 -5", "line 4: 'comm_cost' has extra tokens: -5"),
+        ("noop stay", "noop stay move", "line 10: 'noop' has extra tokens: move"),
+        ("cost move -1", "cost move -1 2", "line 12: 'cost' has extra tokens: 2"),
+        ("initial s0 s0", "initial s0 s0 s1", "line 5: 'initial' has extra tokens: s1"),
+        ("model sample", "model a b", "line 2: 'model' has extra tokens: b"),
+        ("agent 1 left", "agent 1 left right", "line 7: 'agent' has extra tokens: right"),
+    ],
+    ids=["horizon", "comm_cost", "noop", "cost", "initial", "model", "agent"],
+)
+def test_parse_rejects_extra_tokens(old, new, what):
+    assert old in SAMPLE
+    with pytest.raises(ModelFormatError, match=what):
+        parse_model(SAMPLE.replace(old, new, 1))
+
+
 def test_parse_rejects_a_missing_agent_block():
     with pytest.raises(ModelFormatError, match="missing block 'agent 1'"):
         parse_model("horizon 3\ncomm_cost -1\ninitial s0 s0\n")
@@ -193,6 +212,6 @@ def test_models_equal_requires_the_same_reward_objects():
     assert models_equal(m, replace(m))
     assert not models_equal(m, replace(m, extra_reward=None))
     assert not models_equal(m, toy_model())  # an equal bonus, another callable
-    phi = lambda s1, s2: float(s1)  # noqa: E731
+    phi = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert not models_equal(replace(m, potential=phi), m)
     assert models_equal(replace(m, potential=phi), replace(m, potential=phi))

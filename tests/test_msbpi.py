@@ -29,7 +29,7 @@ from commplan.msbpi import (
 from commplan.options import COMMUNICATE, PolicyTree
 
 from conftest import TOY_GRID, chain_agent, toy_model
-from oracles import is_option
+from oracles import is_option, successors
 from test_options import expectimax_oracle
 
 
@@ -67,7 +67,7 @@ def enumerate_complete_trees(agent, root, max_len):
             for s, a in zip(states, combo):
                 asg[(s, depth)] = a
                 if a != COMMUNICATE:
-                    nxt.update(int(q) for q in agent.successors(s, a))
+                    nxt.update(int(q) for q in successors(agent, s, a))
             extend(asg, nxt, depth + 1)
 
     extend({}, {root}, 0)

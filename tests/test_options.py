@@ -37,6 +37,7 @@ from oracles import (
     p_terminate,
     pair_forward,
     root_walk_f_value,
+    successors,
     validate_tree,
 )
 
@@ -278,7 +279,7 @@ def complete_tree(rng, agent, length, root=0):
             a = int(rng.choice(choices))
             assignment[(s, d)] = a
             if a != COMMUNICATE:
-                nxt.update(int(q) for q in agent.successors(s, a))
+                nxt.update(int(q) for q in successors(agent, s, a))
         live = nxt
         if not live:
             break
@@ -385,7 +386,7 @@ def expectimax_oracle(opt1, opt2, m, s, t, V):
             if act1 is None
             else [
                 (int(q), m.agent1.transition[s1, act1][q])
-                for q in m.agent1.successors(s1, act1)
+                for q in successors(m.agent1, s1, act1)
             ]
         )
         succ2 = (
@@ -393,7 +394,7 @@ def expectimax_oracle(opt1, opt2, m, s, t, V):
             if act2 is None
             else [
                 (int(q), m.agent2.transition[s2, act2][q])
-                for q in m.agent2.successors(s2, act2)
+                for q in successors(m.agent2, s2, act2)
             ]
         )
         total = 0.0
@@ -460,7 +461,7 @@ def tree_of_kind(kind, seed, agent, size, root):
             a = COMMUNICATE if rng.random() < 0.15 else int(rng.integers(agent.n_actions))
             assignment[(s, d)] = a
             if a != COMMUNICATE:
-                nxt.update(int(q) for q in agent.successors(s, a))
+                nxt.update(int(q) for q in successors(agent, s, a))
         live = nxt
         if not live:
             break
