@@ -391,36 +391,9 @@ def manhattan(a: Tuple[int, int], b: Tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def midpoint(pos1: Tuple[int, int], pos2: Tuple[int, int]) -> Tuple[int, int]:
-    """Middle cell of a shortest Manhattan path, x-leg first from pos1.
-
-    The cell sits floor(d/2) from pos1 and ceil(d/2) from pos2, so agent 1
-    takes the shorter half on odd separations.
-    """
-    steps = manhattan(pos1, pos2) // 2
-    x, y = pos1
-    for _ in range(steps):
-        if x != pos2[0]:
-            x += 1 if pos2[0] > x else -1
-        else:
-            y += 1 if pos2[1] > y else -1
-    return (x, y)
-
-
-def step_toward(pos: Tuple[int, int], goal: Tuple[int, int]) -> int:
-    """Action moving one cell along a shortest path to goal, x-leg first."""
-    x, y = pos
-    if x != goal[0]:
-        return 2 if goal[0] > x else 3
-    if y != goal[1]:
-        return 0 if goal[1] > y else 1
-    return STAY
-
-
 def grid_target(pos: Tuple[int, int], a: int, cfg: GridConfig) -> Tuple[int, int]:
     """Cell that action a reaches from pos when it succeeds; moves off the
-    edge are clamped.  The one grid move: the walker models and the
-    simulator both take it from here."""
+    edge are clamped.  The one grid move of the walker models."""
     dx, dy = GRID_DELTAS[a]
     return (min(max(pos[0] + dx, 0), cfg.width - 1), min(max(pos[1] + dy, 0), cfg.height - 1))
 

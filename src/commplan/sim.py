@@ -5,10 +5,10 @@ are bit-reproducible and two strategies run with the same seed see the same
 random draws (the full-information baseline and its charged variant then
 differ by exactly the exchange cost).
 
-Each domain has one episode loop in which the agents act on their own; a
-strategy only decides when they exchange.  Ideal exchanges free, every
-other exchange adds the communication cost (a policy-tree exchange on the
-horizon excepted), and exchanges take no time.
+In each domain the agents act on their own; a strategy only decides when
+they exchange.  Ideal exchanges free, every other exchange adds the
+communication cost (a policy-tree exchange on the horizon excepted), and
+exchanges take no time.
   meeting: both agents pay the action cost every step until co-located
     (the meeting step and waiting at the midpoint included), heading for
     the midpoint of the positions the last exchange revealed, d apart.
@@ -16,7 +16,8 @@ horizon excepted), and exchanges take no time.
     since the last one: tau = 1 for Ideal and AlwaysCommunicate,
     policy.time_for(d) for MyopicGreedy, never for the others.  After each
     step that does not meet, the capping step included, SubGoals exchanges
-    when a walker enters the region around the midpoint.
+    when a walker enters the region of radius int(p * d / 2) around the
+    midpoint.
   production: both machines pay the action cost every step and sellable
     products pay off at the horizon.  The episode is a run of windows, each
     charged its exchange after its steps: one step on the joint policy for
@@ -25,19 +26,44 @@ horizon excepted), and exchanges take no time.
 Draws, which fix every result: agent 1 before agent 2 within a step; a
 walker draws one uniform per move it tries (none for stay, none once met),
 a machine one per step, a policy-tree agent one successor per domain action
-(none for a communicate act).
+(none for a communicate act), as bisect_right(cdf_row, uniform) on the
+normalised cumulative row, which is what Generator.choice(n, p=row) does
+with the same uniform.
+
+Batched stepping.  An episode draws at most `width` uniforms: 2 *
+horizon_cap on the meeting grid, 2 * T in production and on policy trees.
+monte_carlo draws them ahead, in one call per episode, from a Generator on
+the episode's own child of SeedSequence(seed), children spawned in episode
+order, into one C-ordered (rows, width) float64 buffer of at most
+SLICE_BYTES, one row per episode; the batch runs a slice of `rows` episodes
+at a time and reuses the buffer, so memory does not grow with the batch
+(81 episodes a slice on the meeting grid at the default cap of 200 steps).
+Each episode reads its row through a cursor that advances only where a draw
+is listed above.  Meeting and production episodes of a slice step together
+in numpy; policy-tree episodes walk their trees one at a time.
+
+The meeting walk needs no positions.  Between exchanges each walker follows
+a shortest path to the midpoint, which lies on a shortest path between the
+two revealed positions, so the two walkers are always left1 + left2 apart,
+their remaining distances to the midpoint: they meet exactly when both
+have arrived, a walker is inside the sub-goal region exactly when its left
+<= radius, and an exchange re-splits the separation d with
+myopic.split_distance, d // 2 for agent 1 (the midpoint is found x-leg first
+from agent 1) and the rest for agent 2.  Separations only shrink, so tau
+and the radius are tables over 0..d0.  This is the distance model the
+exchange-time analysis in commplan.myopic already works in.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .domains import (
-    STAY,
     AlwaysCommunicate,
     GridConfig,
     Ideal,
@@ -46,15 +72,16 @@ from .domains import (
     NoCommunication,
     ProductionDomain,
     SubGoals,
-    grid_target,
     manhattan,
-    midpoint,
-    step_toward,
 )
 from .lgo import LgoMechanism
-from .model import DecMdpCom
+from .model import AgentModel, DecMdpCom, require_valid
 from .msbpi import GeneralMechanism
+from .myopic import split_distance
 from .options import COMMUNICATE
+
+# Size of the draw-ahead buffer: a slice is as many episodes as fit in it.
+SLICE_BYTES = 256 * 1024
 
 
 @dataclass
@@ -95,182 +122,303 @@ class SimResult:
         return math.sqrt(self.comm_variance / self.episodes)
 
 
-def _sample_local(agent, s: int, a: int, rng) -> int:
-    row = agent.transition[s, a]
-    return int(rng.choice(len(row), p=row))
-
-
-def _move(pos, goal, cfg: GridConfig, p: float, rng):
-    """One grid step toward goal; failures and stay actions keep position."""
-    a = step_toward(pos, goal)
-    if a == STAY or rng.random() >= p:
-        return pos
-    return grid_target(pos, a, cfg)
-
-
-def _resync(strategy, pos1, pos2):
-    """Midpoint, exchange clock tau (None: never) and sub-goal region
-    (radius, agent 1 inside, agent 2 inside) or None, after an exchange."""
-    g = midpoint(pos1, pos2)
+def _meeting(cfg: GridConfig, strategy):
+    """Draw width and slice runner of a meeting strategy."""
+    cap = cfg.horizon_cap
+    d0 = manhattan(cfg.start1, cfg.start2)
+    separations = range(d0 + 1)
+    # due[d]: steps from an exchange at separation d to the next (tau - 1);
+    # cap means never
     if isinstance(strategy, (Ideal, AlwaysCommunicate)):
-        return g, 1, None
-    if isinstance(strategy, MyopicGreedy):
-        return g, strategy.policy.time_for(manhattan(pos1, pos2)), None
+        due = np.zeros(d0 + 1, dtype=np.int64)
+    elif isinstance(strategy, MyopicGreedy):
+        taus = map(strategy.policy.time_for, separations)
+        due = np.array([cap if tau is None else tau - 1 for tau in taus], dtype=np.int64)
+    elif isinstance(strategy, (NoCommunication, SubGoals)):
+        due = None
+    else:
+        raise ValueError(f"unsupported meeting strategy: {strategy!r}")
+    radius = None
     if isinstance(strategy, SubGoals):
-        radius = int(strategy.p * manhattan(pos1, pos2) / 2)
-        return g, None, (radius, manhattan(pos1, g) <= radius, manhattan(pos2, g) <= radius)
-    if isinstance(strategy, NoCommunication):
-        return g, None, None
-    raise ValueError(f"unsupported meeting strategy: {strategy!r}")
-
-
-def _run_meeting(domain: MeetingDomain, strategy, rng):
-    cfg = domain.config
-    pos1, pos2 = cfg.start1, cfg.start2
-    per_step = 2.0 * cfg.action_cost
+        radius = np.array([int(strategy.p * d / 2) for d in separations], dtype=np.int64)
     fee = 0.0 if isinstance(strategy, Ideal) else cfg.comm_cost
-    utility, comm, t, clock = 0.0, 0, 0, 0
-    g, tau, region = _resync(strategy, pos1, pos2)
-    met = pos1 == pos2
-    while not met and t < cfg.horizon_cap:
-        if tau is not None and clock >= tau - 1:
-            comm += 1
-            utility += fee
-            g, tau, region = _resync(strategy, pos1, pos2)
-            clock = 0
-        pos1 = _move(pos1, g, cfg, cfg.p1, rng)
-        pos2 = _move(pos2, g, cfg, cfg.p2, rng)
-        t += 1
-        clock += 1
-        utility += per_step
-        met = pos1 == pos2
-        if region is not None and not met:
-            radius, inside1, inside2 = region
-            now1 = manhattan(pos1, g) <= radius
-            now2 = manhattan(pos2, g) <= radius
-            if (now1 and not inside1) or (now2 and not inside2):
-                comm += 1
-                utility += fee
-                g, tau, region = _resync(strategy, pos1, pos2)
-                clock = 0
-            else:
-                region = (radius, now1, now2)
-    return utility, t, comm, not met
+    per_step = 2.0 * cfg.action_cost
+
+    def run(U: np.ndarray):
+        n, width = U.shape
+        utility = np.zeros(n)
+        steps = np.zeros(n, dtype=np.int64)
+        comm = np.zeros(n, dtype=np.int64)
+        capped = np.zeros(n, dtype=bool)
+        if d0 == 0:
+            return utility, steps, comm, capped
+        draws = U.reshape(-1)
+        # one column per live episode; rows are views named below
+        live = np.zeros((7, n), dtype=np.int64)
+        live[0] = np.arange(n)
+        live[1], live[2] = split_distance(d0)
+        live[3] = 0 if due is None else due[d0]
+        live[4] = 0 if radius is None else radius[d0]
+        live[6] = live[0] * width
+        u = np.zeros(n)
+        ep, left1, left2, wait, rad, cm, cur = live
+
+        def exchange(ex):
+            d = left1[ex] + left2[ex]
+            left1[ex], left2[ex] = split_distance(d)
+            if due is not None:
+                wait[ex] = due[d]
+            if radius is not None:
+                rad[ex] = radius[d]
+            cm[ex] += 1
+            u[ex] += fee
+
+        for t in range(cap):
+            if due is not None:
+                ex = wait <= 0
+                if ex.any():
+                    exchange(ex)
+                wait -= 1
+            need = left1 > 0
+            moved1 = need & (draws[cur] < cfg.p1)
+            cur += need
+            need = left2 > 0
+            moved2 = need & (draws[cur] < cfg.p2)
+            cur += need
+            left1 -= moved1
+            left2 -= moved2
+            u += per_step
+            met = (left1 | left2) == 0
+            if radius is not None:
+                # left falls by at most one a step, so a walker enters the
+                # region on the move that brings its left down to the radius
+                ex = ~met & ((moved1 & (left1 == rad)) | (moved2 & (left2 == rad)))
+                if ex.any():
+                    exchange(ex)
+            if met.any():
+                done = ep[met]
+                utility[done] = u[met]
+                steps[done] = t + 1
+                comm[done] = cm[met]
+                keep = ~met
+                live, u = live[:, keep], u[keep]
+                ep, left1, left2, wait, rad, cm, cur = live
+                if not len(u):
+                    break
+        utility[ep] = u
+        steps[ep] = cap
+        comm[ep] = cm
+        capped[ep] = True
+        return utility, steps, comm, capped
+
+    return 2 * cap, run
 
 
-def _run_production(domain: ProductionDomain, strategy, rng):
-    if isinstance(strategy, GeneralMechanism):
-        return _run_mechanism_model(domain.model, strategy, rng)
-    lgo = isinstance(strategy, LgoMechanism)
-    if not (lgo or isinstance(strategy, (Ideal, AlwaysCommunicate))):
-        raise ValueError(f"unsupported production strategy: {strategy!r}")
-    fee = 0.0 if isinstance(strategy, Ideal) else domain.model.comm_cost
-    joint = None if lgo else domain.joint_policy
-    step_cost = 2.0 * domain.action_cost
+def _production(domain: ProductionDomain, strategy):
+    """Draw width and slice runner of a production strategy."""
     T = domain.horizon
-    b = [domain.initial.b_a, domain.initial.b_b]
-    c = [domain.initial.c_a, domain.initial.c_b]
-    utility, comm, t = 0.0, 0, 0
+    n1, n2 = domain.model.agent1.n_states, domain.model.agent2.n_states
+    lgo = isinstance(strategy, LgoMechanism)
+    if lgo:
+        _check_windows(strategy, T, n1, n2)
+        acts1 = _action_table(strategy.candidates1, T)
+        acts2 = _action_table(strategy.candidates2, T)
+    elif not isinstance(strategy, (Ideal, AlwaysCommunicate)):
+        raise ValueError(f"unsupported production strategy: {strategy!r}")
+    joint = None if lgo else domain.joint_policy
+    fee = 0.0 if isinstance(strategy, Ideal) else domain.model.comm_cost
+    step_cost = 2.0 * domain.action_cost
+    made1 = _made(n1, domain.decode1, domain.encode1, domain.caps1)
+    made2 = _made(n2, domain.decode2, domain.encode2, domain.caps2)
+    start = domain.model.initial_state
+    # the potential is the sellable-products count of a state
+    products = domain.model.potential
 
-    def bump(counts, caps, idx, p):
-        if rng.random() < p:
-            counts[idx] = min(counts[idx] + 1, caps[idx])
-
-    while t < T:
-        k = 1
-        if lgo:
-            asg = strategy.assignment_at(domain.encode1(*b), domain.encode2(*c), t)
-            k = asg.k
-        for j in range(t, t + k):
-            s1, s2 = domain.encode1(*b), domain.encode2(*c)
+    def run(U: np.ndarray):
+        n = len(U)
+        s1, s2 = np.full(n, start.s1), np.full(n, start.s2)
+        utility = np.zeros(n)
+        comm = np.zeros(n, dtype=np.int64)
+        end = np.zeros(n, dtype=np.int64)  # step at which the open window closes
+        g1 = np.zeros(n, dtype=np.int64)
+        g2 = np.zeros(n, dtype=np.int64)
+        for t in range(T):
+            new = end == t
+            if t:
+                utility[new] += fee
+                comm[new] += 1
             if lgo:
-                a1, a2 = asg.g1.action_at(s1, j), asg.g2.action_at(s2, j)
+                cell = (t, s1[new], s2[new])
+                g1[new] = strategy.g1[cell]
+                g2[new] = strategy.g2[cell]
+                end[new] = t + strategy.k[cell]
+                a1, a2 = acts1[g1, t, s1], acts2[g2, t, s2]
             else:
-                a1, a2 = joint.action_pair(s1, s2, j)
+                end += 1
+                a1, a2 = np.divmod(joint.actions[t, s1, s2], joint.n_actions2)
             utility += step_cost
-            bump(b, domain.caps1, a1, domain.p_m1)
-            bump(c, domain.caps2, a2, domain.p_m2)
-        t += k
-        comm += 1
+            s1 = np.where(U[:, 2 * t] < domain.p_m1, made1[s1, a1], s1)
+            s2 = np.where(U[:, 2 * t + 1] < domain.p_m2, made2[s2, a2], s2)
         utility += fee
-    utility += domain.products(domain.encode1(*b), domain.encode2(*c))
-    return utility, T, comm, False
+        comm += 1
+        utility += products[s1, s2]
+        return utility, np.full(n, T), comm, np.zeros(n, dtype=bool)
+
+    return 2 * T, run
 
 
-def _run_mechanism_model(model: DecMdpCom, mech: GeneralMechanism, rng):
-    """Execute a policy-tree mechanism on any joint model, in model units.
+def _made(n_states: int, decode, encode, caps) -> np.ndarray:
+    """made[s, a]: a machine's state after action a (MAKE_A, MAKE_B) makes
+    a part in state s; a count at its cap stays there."""
+    a_count, b_count = decode(np.arange(n_states))
+    return np.stack([encode(np.minimum(a_count + 1, caps[0]), b_count),
+                     encode(a_count, np.minimum(b_count + 1, caps[1]))], axis=1)
+
+
+def _check_windows(mech: LgoMechanism, T: int, n1: int, n2: int) -> None:
+    """Reject a goal-window table that does not fit the domain: a shape other
+    than (T, n1, n2), or a window shorter than one step or running past the
+    horizon (the first such cell in (t, s1, s2) order is named)."""
+    for name in ("g1", "g2", "k"):
+        shape = getattr(mech, name).shape
+        if shape != (T, n1, n2):
+            raise ValueError(
+                f"mechanism table {name} has shape {shape}, the domain needs {(T, n1, n2)}"
+            )
+    bad = (mech.k < 1) | (mech.k > (T - np.arange(T))[:, None, None])
+    if bad.any():
+        t, s1, s2 = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"assignment at ({s1}, {s2}, {t}) has window {int(mech.k[t, s1, s2])}, "
+            f"which does not fit before the horizon {T}"
+        )
+
+
+def _action_table(candidates, T: int) -> np.ndarray:
+    """acts[g, t, s]: candidate g's action in local state s at time t < T."""
+    rows = []
+    for pol in candidates:
+        last = 0 if pol.stationary else pol.actions.shape[0] - 1
+        rows.append(pol.actions[np.minimum(np.arange(T), last)])
+    return np.stack(rows)
+
+
+def _cdf_rows(agent: AgentModel) -> list:
+    """cdf[s][a]: the normalised cumulative transition row, as
+    Generator.choice builds it."""
+    cdf = agent.transition.cumsum(axis=2)
+    cdf /= cdf[:, :, -1:]
+    return cdf.tolist()
+
+
+def _trees(model: DecMdpCom, mech: GeneralMechanism):
+    """Draw width and slice runner of a policy-tree mechanism on any joint
+    model, in model units.
 
     Trees run until their first communication act; the communicating agent
     freezes for that step while the other's domain action still executes;
     the exchange then reveals the joint state and a fresh pair is looked up.
     An exchange landing exactly on the horizon is not charged (nothing is
-    left to replan).
+    left to replan).  The model is checked first, so a transition row edited
+    after planning is reported, not sampled.
     """
-    s1, s2 = model.initial_state.s1, model.initial_state.s2
+    require_valid(model)
+    cdf1, cdf2 = _cdf_rows(model.agent1), _cdf_rows(model.agent2)
     T = model.horizon
-    utility, comm, t = 0.0, 0, 0
-    while t < T:
-        tree1, tree2 = mech.pair_at(s1, s2, t)
-        depth = 0
-        x1, x2 = s1, s2
+
+    def episode(draws):
+        draw = iter(draws).__next__
+        s1, s2 = model.initial_state.s1, model.initial_state.s2
+        utility, comm, t = 0.0, 0, 0
         while t < T:
-            a1 = tree1.action_at(x1, depth)
-            a2 = tree2.action_at(x2, depth)
-            comm1 = a1 == COMMUNICATE
-            comm2 = a2 == COMMUNICATE
-            n1 = x1 if comm1 else _sample_local(model.agent1, x1, a1, rng)
-            n2 = x2 if comm2 else _sample_local(model.agent2, x2, a2, rng)
-            utility += model.step_reward(
-                x1, x2, None if comm1 else a1, None if comm2 else a2, n1, n2
-            )
-            x1, x2 = n1, n2
-            t += 1
-            depth += 1
-            if comm1 or comm2:
-                comm += 1
-                if t < T:
-                    utility += model.comm_cost
-                break
-        s1, s2 = x1, x2
-    return utility, t, comm, False
+            tree1, tree2 = mech.pair_at(s1, s2, t)
+            depth = 0
+            while t < T:
+                a1 = tree1.action_at(s1, depth)
+                a2 = tree2.action_at(s2, depth)
+                comm1 = a1 == COMMUNICATE
+                comm2 = a2 == COMMUNICATE
+                n1 = s1 if comm1 else bisect_right(cdf1[s1][a1], draw())
+                n2 = s2 if comm2 else bisect_right(cdf2[s2][a2], draw())
+                utility += model.step_reward(
+                    s1, s2, None if comm1 else a1, None if comm2 else a2, n1, n2
+                )
+                s1, s2 = n1, n2
+                t += 1
+                depth += 1
+                if comm1 or comm2:
+                    comm += 1
+                    if t < T:
+                        utility += model.comm_cost
+                    break
+        return utility, t, comm
+
+    def run(U: np.ndarray):
+        runs = [episode(row.tolist()) for row in U]
+        utility, steps, comm = (np.array(col) for col in zip(*runs))
+        return utility, steps, comm, np.zeros(len(U), dtype=bool)
+
+    return 2 * T, run
 
 
-def run_episode(domain, strategy, rng):
-    """One episode; returns (utility, steps, exchanges, capped)."""
+def _engine(domain, strategy):
+    """(width, run): the most uniforms one episode draws, and a function that
+    runs one episode per row of an (n, width) uniform array and returns
+    per-episode utility, steps, exchanges and capped flags."""
     if isinstance(domain, MeetingDomain):
-        return _run_meeting(domain, strategy, rng)
+        return _meeting(domain.config, strategy)
     if isinstance(domain, ProductionDomain):
-        return _run_production(domain, strategy, rng)
+        if isinstance(strategy, GeneralMechanism):
+            return _trees(domain.model, strategy)
+        return _production(domain, strategy)
     if isinstance(domain, DecMdpCom):
         if not isinstance(strategy, GeneralMechanism):
             raise ValueError(f"unsupported model strategy: {strategy!r}")
-        return _run_mechanism_model(domain, strategy, rng)
+        return _trees(domain, strategy)
     raise ValueError(f"unsupported domain: {domain!r}")
+
+
+def run_episode(domain, strategy, rng):
+    """One episode on the caller's generator; returns (utility, steps,
+    exchanges, capped).
+
+    It is a batch of one: the episode's whole draw-ahead buffer (as many
+    uniforms as monte_carlo draws per episode) comes from `rng` first.  The
+    episode is the one the draw rules give on that stream, but `rng` ends
+    past every uniform of the buffer, also those the episode did not use.
+    """
+    width, run = _engine(domain, strategy)
+    utility, steps, comm, capped = run(rng.random((1, width)))
+    return float(utility[0]), int(steps[0]), int(comm[0]), bool(capped[0])
 
 
 def monte_carlo(cfg: SimConfig) -> SimResult:
     """cfg.episodes independent episodes on decorrelated substreams.
 
-    Single-threaded ordered loop; a fixed seed gives identical results on
+    Single-threaded and ordered; a fixed seed gives identical results on
     every run.  Episode i draws from child i of SeedSequence(seed), spawned
-    one at a time: the same streams as spawn(episodes), without holding
-    every child (about 0.7 KiB each) for the whole batch.
+    one at a time as its buffer row is filled: the same streams as
+    spawn(episodes), without holding every child (about 0.7 KiB each) for
+    the whole batch or slice.
     """
+    width, run = _engine(cfg.domain, cfg.strategy)
     seeds = np.random.SeedSequence(cfg.seed)
     utilities = np.empty(cfg.episodes)
     steps = np.empty(cfg.episodes)
     comms = np.empty(cfg.episodes)
     capped = 0
-    log: Optional[List[Tuple[float, int, int]]] = [] if cfg.log_episodes else None
-    for i in range(cfg.episodes):
-        rng = np.random.Generator(np.random.PCG64(seeds.spawn(1)[0]))
-        u, st, cm, was_capped = run_episode(cfg.domain, cfg.strategy, rng)
-        utilities[i] = u
-        steps[i] = st
-        comms[i] = cm
-        capped += was_capped
-        if log is not None:
-            log.append((u, st, cm))
+    rows = max(1, SLICE_BYTES // (8 * width))
+    buffer = np.empty((min(rows, cfg.episodes), width))
+    for start in range(0, cfg.episodes, rows):
+        U = buffer[: min(rows, cfg.episodes - start)]
+        for row in U:
+            np.random.Generator(np.random.PCG64(seeds.spawn(1)[0])).random(out=row)
+        got = slice(start, start + len(U))
+        utilities[got], steps[got], comms[got], cut = run(U)
+        capped += int(cut.sum())
+    log: Optional[List[Tuple[float, int, int]]] = None
+    if cfg.log_episodes:
+        log = list(zip(utilities.tolist(), map(int, steps), map(int, comms)))
     many = cfg.episodes > 1
     return SimResult(
         mean_utility=float(utilities.mean()),

@@ -20,6 +20,11 @@ the definitions live here and are checked against those kernels:
   recursion and the exchange-time table in commplan.myopic.  They read time
   stamps from TimedState; a model state (a plain pair) is taken at time 0.
 - welch_ttest compares two Monte-Carlo batches from commplan.sim.
+- midpoint and step_toward are the meeting walk as positions: the walkers
+  head x-leg first for the middle cell of a shortest path.  The grid
+  reference engine walks with them, and they check that agent 1 is d // 2
+  and agent 2 d - d // 2 steps from that cell, the split the library's
+  distance-only meeting engine applies.
 - successors, is_goal, goal_reachable_bfs and joint_induction read a joint
   model state by state: goal_reachable_bfs is the joint-state search that
   validate() ran before its reachability became a product of two local
@@ -40,6 +45,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from commplan.domains import STAY, manhattan
 from commplan.lgo import GoalAssignment, _step_matrix
 from commplan.model import AgentModel, DecMdpCom, FactoredState
 from commplan.options import COMMUNICATE, PolicyTree, _forward_level, _Successors
@@ -53,6 +59,36 @@ class TimedState(NamedTuple):
     s1: int
     s2: int
     t: Optional[int] = None
+
+
+# ---------------------------------------------------------------------------
+# the meeting walk as positions
+
+
+def midpoint(pos1: Tuple[int, int], pos2: Tuple[int, int]) -> Tuple[int, int]:
+    """Middle cell of a shortest Manhattan path, x-leg first from pos1.
+
+    The cell sits floor(d/2) from pos1 and ceil(d/2) from pos2, so agent 1
+    takes the shorter half on odd separations.
+    """
+    steps = manhattan(pos1, pos2) // 2
+    x, y = pos1
+    for _ in range(steps):
+        if x != pos2[0]:
+            x += 1 if pos2[0] > x else -1
+        else:
+            y += 1 if pos2[1] > y else -1
+    return (x, y)
+
+
+def step_toward(pos: Tuple[int, int], goal: Tuple[int, int]) -> int:
+    """Action moving one cell along a shortest path to goal, x-leg first."""
+    x, y = pos
+    if x != goal[0]:
+        return 2 if goal[0] > x else 3
+    if y != goal[1]:
+        return 0 if goal[1] > y else 1
+    return STAY
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ production and policy-tree episode runners and the ``run_episode`` dispatch,
 each with its own hand-written walk and per-step ``events`` list.  Only the
 imports differ from the original.  ``tests/test_sim_identity.py`` requires
 the library's engine to give the same per-episode logs on the same
-substreams; a batched engine can be checked against the same copies.
+substreams.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from commplan.domains import (
     ProductionDomain,
     SubGoals,
     manhattan,
-    midpoint,
-    step_toward,
 )
 from commplan.lgo import LgoMechanism
 from commplan.model import DecMdpCom
 from commplan.msbpi import GeneralMechanism
 from commplan.options import COMMUNICATE
+from oracles import midpoint, step_toward
 
 
 def _sample_local(agent, s: int, a: int, rng) -> int:

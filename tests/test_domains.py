@@ -24,14 +24,12 @@ from commplan.domains import (
     build_production,
     grid_target,
     manhattan,
-    midpoint,
     quota_policy,
     solve_joint_mmdp,
-    step_toward,
 )
 from commplan.model import validate
 from conftest import TOY_GRID, toy_model
-from oracles import joint_induction, successors
+from oracles import joint_induction, midpoint, step_toward, successors
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commplan.domains import GridConfig, build_meeting, midpoint, step_toward
+from commplan.domains import GridConfig, build_meeting
 from commplan.lgo import LocalGoalPolicy
 from commplan.myopic import (
     CommPolicy,
@@ -23,7 +23,7 @@ from commplan.myopic import (
 )
 
 from conftest import toy_model
-from oracles import FixedLocalPolicies, pbar, rbar, theta_c, theta_nc
+from oracles import FixedLocalPolicies, midpoint, pbar, rbar, step_toward, theta_c, theta_nc
 from oracles import TimedState as FactoredState
 
 GO, WAIT = 0, 1

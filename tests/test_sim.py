@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from commplan.domains import (
+    GRID_ACTIONS,
+    STAY,
     AlwaysCommunicate,
     GridConfig,
     Ideal,
@@ -21,7 +23,9 @@ from commplan.domains import (
     SubGoals,
     build_meeting,
     build_production,
+    grid_target,
 )
+from commplan.lgo import lgo_msbpi
 from commplan.model import FactoredState
 from commplan.msbpi import msbpi
 from commplan.myopic import comm_policy_table
@@ -31,15 +35,24 @@ from commplan.sim import (
     monte_carlo,
     results_csv,
     run_episode,
-    _move,
 )
 
 from conftest import toy_model
-from oracles import welch_ttest
+from oracles import step_toward, welch_ttest
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+class _Uniforms:
+    """Generator stand-in whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 def test_sim_config_requires_episodes():
@@ -49,9 +62,17 @@ def test_sim_config_requires_episodes():
 
 def test_move_walks_and_clamps():
     cfg = GridConfig(width=3, height=3, p1=1.0, p2=1.0, start2=(2, 2))
-    assert _move((0, 0), (2, 0), cfg, 1.0, _rng()) == (1, 0)
-    assert _move((1, 1), (1, 1), cfg, 1.0, _rng()) == (1, 1)
-    assert _move((0, 0), (2, 0), cfg, 0.0, _rng()) == (0, 0)
+    assert grid_target((0, 0), step_toward((0, 0), (2, 0)), cfg) == (1, 0)
+    # at its goal a walker stays, and staying keeps the cell
+    assert step_toward((1, 1), (1, 1)) == STAY
+    assert grid_target((1, 1), STAY, cfg) == (1, 1)
+    # a move off the edge keeps the cell too
+    assert grid_target((0, 0), GRID_ACTIONS.index("west"), cfg) == (0, 0)
+    # a move whose uniform is not below the success rate fails
+    dom = build_meeting(GridConfig(width=3, height=3, p1=0.5, p2=0.5,
+                                   start2=(2, 2), horizon_cap=3))
+    assert run_episode(dom, NoCommunication(), _Uniforms(0.5)) == (-6.0, 3, 0, True)
+    assert run_episode(dom, NoCommunication(), _Uniforms(0.49)) == (-4.0, 2, 0, False)
 
 
 def test_deterministic_meeting_walk():
@@ -77,6 +98,45 @@ def test_unsupported_strategy_rejected():
         run_episode(object(), NoCommunication(), _rng())
     with pytest.raises(ValueError, match="unsupported model strategy"):
         run_episode(toy_model(), NoCommunication(), _rng())
+
+
+def test_lgo_windows_past_the_horizon_are_rejected():
+    dom = build_production(0.8, 0.8, T=4, comm_cost=-0.1)
+    mech = lgo_msbpi(dom.model, dom.candidates1, dom.candidates2)
+    mech.k[:] = 3
+    # the first cell in (t, s1, s2) order whose window ends past T=4
+    first = r"assignment at \(0, 0, 2\) has window 3"
+    with pytest.raises(ValueError, match=first):
+        monte_carlo(SimConfig(domain=dom, strategy=mech, episodes=5))
+    # rejected before a single draw: this generator would fail on one
+    with pytest.raises(ValueError, match=first):
+        run_episode(dom, mech, object())
+    mech.k[:] = 1
+    mech.k[1, 3, 4] = 0
+    with pytest.raises(ValueError, match=r"assignment at \(3, 4, 1\) has window 0"):
+        run_episode(dom, mech, _rng())
+
+
+def test_lgo_table_of_another_shape_is_rejected():
+    dom = build_production(0.8, 0.8, T=4, comm_cost=-0.1)
+    mech = lgo_msbpi(dom.model, dom.candidates1, dom.candidates2)
+    longer = build_production(0.8, 0.8, T=5, comm_cost=-0.1)
+    with pytest.raises(ValueError, match=r"shape \(4, 25, 65\).*\(5, 36, 84\)"):
+        monte_carlo(SimConfig(domain=longer, strategy=mech, episodes=5))
+
+
+@pytest.mark.parametrize("row, problem", [
+    ([0.5, 0.4], "transition row for state 0 action go sums to 0.9"),
+    ([-0.1, 1.1], r"probability out of \[0,1\] at state 0 action 0"),
+])
+def test_tree_pair_path_rejects_rows_edited_after_planning(row, problem):
+    m = toy_model()
+    mech = msbpi(m)
+    m.agent1.transition[0, 0] = row
+    with pytest.raises(ValueError, match="left: " + problem):
+        monte_carlo(SimConfig(domain=m, strategy=mech, episodes=5))
+    with pytest.raises(ValueError, match="left: " + problem):
+        run_episode(m, mech, _rng())
 
 
 def test_same_seed_reproduces_batch_exactly():

@@ -1,17 +1,22 @@
-"""The folded episode loops against the scalar engine they replaced.
+"""The batched engine against the scalar engine it replaced.
 
 tests/sim_reference.py keeps the simulator's six hand-written walks as they
 were.  On monte_carlo's own substreams the library must give the same
 per-episode log, bit for bit, and the same capped count: for every strategy
-the meeting tables T8-T13 run, at every success rate and fee; on a capped
-grid where a sub-goal exchange lands on the capping step; for the
-production full-information and goal-window strategies; and for tree-pair
-mechanisms on the toy models.
+the meeting tables T8-T13 run, at every success rate and fee; on capped
+grids (caps 1, 6 and 12, where a sub-goal exchange lands on the capping
+step); on 1,000-episode batches at success rate 0.2, whose long walks run
+many slices deep; for the production full-information and goal-window
+strategies, goal windows on candidates with several action rows included;
+and for tree-pair mechanisms on the toy models.  Batches of one episode,
+slices of one and seven episodes, and run_episode on the caller's
+generator must give the same episodes too.
 """
 
 import numpy as np
 import pytest
 
+import commplan.sim as sim
 import sim_reference as ref
 from commplan.domains import (
     SUBGOAL_SWEEP,
@@ -24,10 +29,10 @@ from commplan.domains import (
     build_meeting,
     build_production,
 )
-from commplan.lgo import lgo_msbpi
+from commplan.lgo import LgoMechanism, LocalGoalPolicy, lgo_msbpi
 from commplan.msbpi import msbpi
 from commplan.myopic import comm_policy_table
-from commplan.sim import SimConfig, monte_carlo
+from commplan.sim import SimConfig, monte_carlo, run_episode
 from commplan.tables import MEETING_P
 
 from conftest import TOY_GRID, toy_model
@@ -92,3 +97,89 @@ def test_production_strategies_match_reference(p1, p2):
 def test_tree_pair_mechanism_matches_reference(params):
     model = toy_model(**params)
     assert_identical(model, msbpi(model), episodes=300)
+
+
+@pytest.mark.parametrize("cap", [200, 80])
+def test_long_walks_match_reference(cap):
+    domain = build_meeting(GridConfig(p1=0.2, p2=0.2, comm_cost=-1.0, horizon_cap=cap))
+    table = comm_policy_table(p_u=0.2, comm_cost=-1.0)
+    capped = 0
+    for strategy in (NoCommunication(), MyopicGreedy(table), SubGoals(0.5)):
+        trajs = assert_identical(domain, strategy, episodes=1000)
+        capped += sum(traj["capped"] for traj in trajs)
+    if cap == 80:
+        assert capped > 0  # the longest walks are cut short
+
+
+def _several_rows(pol, rows, stationary=False):
+    """pol with `rows` action rows, the odd ones swapping the two actions."""
+    acts = np.stack([pol.actions[0] if r % 2 == 0 else 1 - pol.actions[0]
+                     for r in range(rows)])
+    return LocalGoalPolicy(label=f"{pol.label}_rows{rows}", actions=acts,
+                           stationary=stationary)
+
+
+def test_goal_windows_on_several_action_rows_match_reference():
+    domain = build_production(0.6, 0.8, T=6, comm_cost=-1.0)
+    extra1 = [_several_rows(domain.candidates1[1], 3),
+              _several_rows(domain.candidates1[2], 8),
+              _several_rows(domain.candidates1[3], 2, stationary=True)]
+    extra2 = [_several_rows(domain.candidates2[4], 4)]
+    cand1 = domain.candidates1[:2] + extra1
+    cand2 = domain.candidates2[3:5] + extra2
+    T, n1, n2 = 6, domain.model.agent1.n_states, domain.model.agent2.n_states
+    draw = np.random.default_rng(1)
+    k = np.stack([draw.integers(1, T - t + 1, (n1, n2)) for t in range(T)])
+    mech = LgoMechanism(candidates1=cand1, candidates2=cand2,
+                        g1=draw.integers(0, len(cand1), (T, n1, n2)),
+                        g2=draw.integers(0, len(cand2), (T, n1, n2)),
+                        k=k, value=np.zeros((T + 1, n1, n2)))
+    assert_identical(domain, mech, episodes=300)
+
+
+@pytest.fixture(scope="module")
+def engine_cases():
+    """(domain, strategy) pairs that reach every branch of the engine."""
+    meeting = build_meeting(GridConfig(p1=0.6, p2=0.4, comm_cost=-1.0, horizon_cap=30))
+    production = build_production(0.2, 0.8, T=6, comm_cost=-1.0)
+    model = toy_model(**TOY_GRID[0])
+    return [(meeting, s) for s in meeting_strategies(0.6, -1.0)[:4] + [SubGoals(0.3)]] + [
+        (production, Ideal()),
+        (production, lgo_msbpi(production.model, production.candidates1,
+                               production.candidates2)),
+        (model, msbpi(model)),
+    ]
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_slice_boundaries_do_not_change_episodes(rows, monkeypatch, engine_cases):
+    for domain, strategy in engine_cases:
+        width = sim._engine(domain, strategy)[0]
+        monkeypatch.setattr(sim, "SLICE_BYTES", rows * 8 * width)
+        assert_identical(domain, strategy, episodes=40)
+
+
+def test_single_episode_batches_match_reference(engine_cases):
+    for domain, strategy in engine_cases:
+        assert_identical(domain, strategy, episodes=1)
+
+
+def test_meeting_from_one_cell_matches_reference():
+    domain = build_meeting(GridConfig(start1=(4, 4), start2=(4, 4)))
+    for strategy in meeting_strategies(0.8, -0.1):
+        assert_identical(domain, strategy, episodes=5)
+
+
+def test_run_episode_is_a_batch_of_one_on_the_callers_generator(engine_cases):
+    for domain, strategy in engine_cases:
+        for child in np.random.SeedSequence(5).spawn(20):
+            got = run_episode(domain, strategy, np.random.Generator(np.random.PCG64(child)))
+            u, steps, comm, traj = ref.run_episode(
+                domain, strategy, np.random.Generator(np.random.PCG64(child))
+            )
+            assert repr(got) == repr((u, steps, comm, traj["capped"])), strategy
+        # the caller's generator ends past the episode's whole buffer
+        width = sim._engine(domain, strategy)[0]
+        rng = np.random.Generator(np.random.PCG64(7))
+        run_episode(domain, strategy, rng)
+        assert rng.random() == np.random.Generator(np.random.PCG64(7)).random(width + 1)[-1]
