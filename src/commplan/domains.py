@@ -4,12 +4,16 @@ Two scenarios are provided.  In the production scenario two machines make
 parts of two types; a part sells only when matched with the other machine's
 part of the same type, so the terminal payoff is min(B_a, C_a) + min(B_b,
 C_b), expressed through the joint model's potential so that per-step reward
-increments telescope to it.  In the meeting scenario two agents walk on a
+increments telescope to it.  Each machine's state encoding and capped MAKE
+rule are written once, in _machine_model: its successor table `made` builds
+the transition, and the per-state part counts it returns build the
+potential, the initial state and the quota policies; the simulator steps
+the same `made` tables.  In the meeting scenario two agents walk on a
 grid toward a shared midpoint and the global goal is co-location; the joint
 model charges one unit per system step while unmet, which makes its values
 directly comparable to the analytic meeting-time recursions, while episode
 utility (each agent paying the action cost every step) is handled by the
-simulator.
+simulator.  Grid cell (x, y) is state x * height + y (grid_state).
 """
 
 from __future__ import annotations
@@ -74,25 +78,6 @@ SUBGOAL_SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 @dataclass(frozen=True)
-class ProductionState:
-    """Counts of parts made so far: machine 1 holds (b_a, b_b), machine 2
-    (c_a, c_b)."""
-
-    b_a: int
-    b_b: int
-    c_a: int
-    c_b: int
-
-    def __post_init__(self):
-        if min(self.b_a, self.b_b, self.c_a, self.c_b) < 0:
-            raise ValueError(f"part counts must be nonnegative: {self}")
-
-    def products(self) -> int:
-        """Sellable products: parts pair up across machines by type."""
-        return min(self.b_a, self.c_a) + min(self.b_b, self.c_b)
-
-
-@dataclass(frozen=True)
 class ProductionOption:
     """Cyclic quota: make x_a parts of type a, then x_b of type b, repeat."""
 
@@ -125,29 +110,27 @@ def _machine_model(
     init: Tuple[int, int],
     horizon: int,
     action_cost: float,
-) -> Tuple[AgentModel, Tuple[int, int]]:
+):
     """One machine: two counters, two actions, success probability p.
 
-    Counter caps are initial count plus horizon (one part per step at most),
-    so every reachable count has a state.
+    State a * nb + b holds a parts of type a and b of type b.  Counter caps
+    are initial count plus horizon (one part per step at most), so every
+    reachable count has a state.  Returns the agent, the per-state counts
+    (a, b), made[s, action] (the state a successful MAKE leads to; a count
+    at its cap stays there) and the initial state.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"success probability must be in (0, 1], got {p}")
     cap_a, cap_b = init[0] + horizon, init[1] + horizon
-    na, nb = cap_a + 1, cap_b + 1
-    n = na * nb
+    nb = cap_b + 1
+    n = (cap_a + 1) * nb
+    a_cnt, b_cnt = np.divmod(np.arange(n), nb)
+    made = np.stack([np.minimum(a_cnt + 1, cap_a) * nb + b_cnt,
+                     a_cnt * nb + np.minimum(b_cnt + 1, cap_b)], axis=1)
     trans = np.zeros((n, 2, n))
-    labels = []
-    for a_cnt in range(na):
-        for b_cnt in range(nb):
-            s = a_cnt * nb + b_cnt
-            labels.append(f"{a_cnt}-{b_cnt}")
-            bumped_a = (min(a_cnt + 1, cap_a)) * nb + b_cnt
-            bumped_b = a_cnt * nb + min(b_cnt + 1, cap_b)
-            trans[s, MAKE_A, bumped_a] += p
-            trans[s, MAKE_A, s] += 1.0 - p
-            trans[s, MAKE_B, bumped_b] += p
-            trans[s, MAKE_B, s] += 1.0 - p
+    s, a = np.arange(n)[:, None], np.arange(2)
+    trans[s, a, made] += p
+    trans[s, a, s] += 1.0 - p
     agent = AgentModel(
         n_states=n,
         actions=("make_a", "make_b"),
@@ -155,33 +138,23 @@ def _machine_model(
         goal_candidates=(),
         action_cost=np.array([action_cost, action_cost]),
         noop=None,
-        state_labels=tuple(labels),
+        state_labels=tuple(f"{x}-{y}" for x, y in zip(a_cnt.tolist(), b_cnt.tolist())),
         name=name,
     )
-    return agent, (cap_a, cap_b)
+    return agent, (a_cnt, b_cnt), made, init[0] * nb + init[1]
 
 
-def quota_policy(
-    agent: AgentModel,
-    option: ProductionOption,
-    init: Tuple[int, int],
-) -> LocalGoalPolicy:
+def quota_policy(produced: np.ndarray, option: ProductionOption) -> LocalGoalPolicy:
     """Stationary policy following a cyclic quota.
 
-    The position inside the cycle is the number of parts produced since the
-    initial state, modulo the cycle length; failures retry the same type
-    because the count does not advance.
+    produced[s] is the number of parts made since the initial state; the
+    position inside the cycle is that number modulo the cycle length, so
+    failures retry the same type because the count does not advance.
     """
-    cycle = option.x_a + option.x_b
-    acts = np.zeros((1, agent.n_states), dtype=int)
-    for s, label in enumerate(agent.state_labels):
-        a_cnt, b_cnt = (int(v) for v in label.split("-"))
-        produced = (a_cnt - init[0]) + (b_cnt - init[1])
-        pos = produced % cycle
-        acts[0, s] = MAKE_A if pos < option.x_a else MAKE_B
+    pos = produced % (option.x_a + option.x_b)
     return LocalGoalPolicy(
         label=f"quota_{option.x_a}_{option.x_b}",
-        actions=acts,
+        actions=np.where(pos < option.x_a, MAKE_A, MAKE_B)[None, :],
         stationary=True,
         goal=None,
     )
@@ -189,14 +162,19 @@ def quota_policy(
 
 @dataclass(eq=False)
 class ProductionDomain:
-    """The two-machine scenario: joint model plus bookkeeping helpers."""
+    """The two-machine scenario: joint model, quota candidates and the
+    machines' successor tables.
+
+    made1[s, a] (made2 for machine 2) is the state a successful MAKE_A or
+    MAKE_B (a = 0 or 1) leads to from state s; a failed attempt stays in s.
+    The potential of a state pair is its count of sellable products.
+    """
 
     model: DecMdpCom
     candidates1: List[LocalGoalPolicy]
     candidates2: List[LocalGoalPolicy]
-    initial: ProductionState
-    caps1: Tuple[int, int]
-    caps2: Tuple[int, int]
+    made1: np.ndarray
+    made2: np.ndarray
     p_m1: float
     p_m2: float
     action_cost: float
@@ -204,23 +182,6 @@ class ProductionDomain:
     @property
     def horizon(self) -> int:
         return self.model.horizon
-
-    def encode1(self, b_a: int, b_b: int) -> int:
-        return b_a * (self.caps1[1] + 1) + b_b
-
-    def decode1(self, s: int) -> Tuple[int, int]:
-        return divmod(s, self.caps1[1] + 1)
-
-    def encode2(self, c_a: int, c_b: int) -> int:
-        return c_a * (self.caps2[1] + 1) + c_b
-
-    def decode2(self, s: int) -> Tuple[int, int]:
-        return divmod(s, self.caps2[1] + 1)
-
-    def products(self, s1: int, s2: int) -> int:
-        b_a, b_b = self.decode1(s1)
-        c_a, c_b = self.decode2(s2)
-        return ProductionState(b_a, b_b, c_a, c_b).products()
 
     @cached_property
     def joint_policy(self) -> "JointPolicy":
@@ -238,48 +199,40 @@ def build_production(
 ) -> ProductionDomain:
     """The two-machine production scenario.
 
-    Each step each machine attempts one part of the type its policy picks,
-    succeeding with its own probability; both machines pay the action cost
-    every step.  The terminal payoff (matched pairs across machines) enters
-    the joint model as a potential array, potential[s1, s2] = min(b_a, c_a)
-    + min(b_b, c_b), so no boundary term is needed.
+    initial holds the part counts machine 1 (b_a, b_b) and machine 2 (c_a,
+    c_b) start with.  Each step each machine attempts one part of the type
+    its policy picks, succeeding with its own probability; both machines pay
+    the action cost every step.  The terminal payoff (matched pairs across
+    machines) enters the joint model as a potential array, potential[s1, s2]
+    = min(b_a, c_a) + min(b_b, c_b), so no boundary term is needed.
     """
-    init_state = ProductionState(*initial)
-    machine1, caps1 = _machine_model(
-        "machine1", p_m1, (init_state.b_a, init_state.b_b), T, action_cost
+    b_a0, b_b0, c_a0, c_b0 = initial
+    if min(initial) < 0:
+        raise ValueError(f"part counts must be nonnegative: {tuple(initial)}")
+    machine1, (b_a, b_b), made1, start1 = _machine_model(
+        "machine1", p_m1, (b_a0, b_b0), T, action_cost
     )
-    machine2, caps2 = _machine_model(
-        "machine2", p_m2, (init_state.c_a, init_state.c_b), T, action_cost
+    machine2, (c_a, c_b), made2, start2 = _machine_model(
+        "machine2", p_m2, (c_a0, c_b0), T, action_cost
     )
-    nb1, nb2 = caps1[1] + 1, caps2[1] + 1
-    b_a, b_b = np.divmod(np.arange(machine1.n_states), nb1)
-    c_a, c_b = np.divmod(np.arange(machine2.n_states), nb2)
     model = DecMdpCom(
         agent1=machine1,
         agent2=machine2,
         comm_cost=comm_cost,
         horizon=T,
-        initial_state=FactoredState(
-            init_state.b_a * nb1 + init_state.b_b,
-            init_state.c_a * nb2 + init_state.c_b,
-        ),
+        initial_state=FactoredState(start1, start2),
         potential=np.minimum.outer(b_a, c_a) + np.minimum.outer(b_b, c_b),
         name="production",
     )
     opts = [ProductionOption(o.x_a, o.x_b) if not isinstance(o, ProductionOption) else o for o in options]
-    candidates1 = [
-        quota_policy(machine1, o, (init_state.b_a, init_state.b_b)) for o in opts
-    ]
-    candidates2 = [
-        quota_policy(machine2, o, (init_state.c_a, init_state.c_b)) for o in opts
-    ]
+    produced1 = b_a + b_b - (b_a0 + b_b0)
+    produced2 = c_a + c_b - (c_a0 + c_b0)
     return ProductionDomain(
         model=model,
-        candidates1=candidates1,
-        candidates2=candidates2,
-        initial=init_state,
-        caps1=caps1,
-        caps2=caps2,
+        candidates1=[quota_policy(produced1, o) for o in opts],
+        candidates2=[quota_policy(produced2, o) for o in opts],
+        made1=made1,
+        made2=made2,
         p_m1=p_m1,
         p_m2=p_m2,
         action_cost=action_cost,
@@ -391,27 +344,28 @@ def manhattan(a: Tuple[int, int], b: Tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def grid_target(pos: Tuple[int, int], a: int, cfg: GridConfig) -> Tuple[int, int]:
+def grid_target(pos, a: int, cfg: GridConfig):
     """Cell that action a reaches from pos when it succeeds; moves off the
-    edge are clamped.  The one grid move of the walker models."""
+    edge are clamped.  The one grid move of the walker models; pos may hold
+    arrays of coordinates."""
     dx, dy = GRID_DELTAS[a]
-    return (min(max(pos[0] + dx, 0), cfg.width - 1), min(max(pos[1] + dy, 0), cfg.height - 1))
+    return (np.clip(pos[0] + dx, 0, cfg.width - 1), np.clip(pos[1] + dy, 0, cfg.height - 1))
+
+
+def grid_state(pos, cfg: GridConfig):
+    """State index x * height + y of the cell pos = (x, y), or of arrays of
+    cells; divmod(s, height) inverts it."""
+    return pos[0] * cfg.height + pos[1]
 
 
 def _grid_agent(name: str, cfg: GridConfig, p: float) -> AgentModel:
-    w, h = cfg.width, cfg.height
-    n = w * h
+    n = cfg.width * cfg.height
+    s = np.arange(n)
+    cell = divmod(s, cfg.height)
     trans = np.zeros((n, 5, n))
-    labels = []
-    for x in range(w):
-        for y in range(h):
-            s = x * h + y
-            labels.append(f"{x}-{y}")
-            for a in range(len(GRID_ACTIONS)):
-                tx, ty = grid_target((x, y), a, cfg)
-                target = tx * h + ty
-                trans[s, a, target] += p
-                trans[s, a, s] += 1.0 - p
+    for a in range(len(GRID_ACTIONS)):
+        trans[s, a, grid_state(grid_target(cell, a, cfg), cfg)] += p
+        trans[s, a, s] += 1.0 - p
     return AgentModel(
         n_states=n,
         actions=GRID_ACTIONS,
@@ -419,7 +373,7 @@ def _grid_agent(name: str, cfg: GridConfig, p: float) -> AgentModel:
         goal_candidates=(),
         action_cost=np.zeros(5),
         noop=STAY,
-        state_labels=tuple(labels),
+        state_labels=tuple(f"{x}-{y}" for x, y in zip(*(c.tolist() for c in cell))),
         name=name,
     )
 
@@ -438,7 +392,7 @@ class MeetingDomain:
     config: GridConfig
 
     def encode(self, pos: Tuple[int, int]) -> int:
-        return pos[0] * self.config.height + pos[1]
+        return grid_state(pos, self.config)
 
     def decode(self, s: int) -> Tuple[int, int]:
         return divmod(s, self.config.height)
@@ -462,10 +416,7 @@ def build_meeting(cfg: GridConfig) -> MeetingDomain:
         agent2=agent2,
         comm_cost=cfg.comm_cost,
         horizon=cfg.horizon_cap,
-        initial_state=FactoredState(
-            cfg.start1[0] * cfg.height + cfg.start1[1],
-            cfg.start2[0] * cfg.height + cfg.start2[1],
-        ),
+        initial_state=FactoredState(grid_state(cfg.start1, cfg), grid_state(cfg.start2, cfg)),
         goal=np.eye(agent1.n_states, dtype=bool),
         extra_reward=extra,
         name="meeting",

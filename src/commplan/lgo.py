@@ -52,9 +52,13 @@ class LocalGoalPolicy:
     goal: Optional[int] = None
     value: Optional[np.ndarray] = None
 
+    def row_at(self, t):
+        """Row of actions used at time t, for a scalar or an array of times:
+        row 0 when stationary, else t clamped to the last row."""
+        return np.minimum(t, 0 if self.stationary else self.actions.shape[0] - 1)
+
     def action_at(self, s: int, t: int) -> int:
-        row = 0 if self.stationary else min(t, self.actions.shape[0] - 1)
-        return int(self.actions[row, s])
+        return int(self.actions[self.row_at(t), s])
 
 
 @dataclass(eq=False)
@@ -201,14 +205,14 @@ def solve_local_mdp(
 
 
 def _step_matrix(agent: AgentModel, pol: LocalGoalPolicy, t: int) -> np.ndarray:
-    acts = pol.actions[0 if pol.stationary else min(t, pol.actions.shape[0] - 1)]
+    acts = pol.actions[pol.row_at(t)]
     return agent.transition[np.arange(agent.n_states), acts]
 
 
 def _step_cost_vector(agent: AgentModel, pol: LocalGoalPolicy, t: int) -> np.ndarray:
     if agent.action_cost is None:
         return np.zeros(agent.n_states)
-    acts = pol.actions[0 if pol.stationary else min(t, pol.actions.shape[0] - 1)]
+    acts = pol.actions[pol.row_at(t)]
     return np.asarray(agent.action_cost, dtype=float)[acts]
 
 
@@ -356,13 +360,6 @@ def _evaluate_table(
     nc1, nc2 = len(cand1), len(cand2)
     V = np.zeros((T + 1, n1, n2))
     for t in range(T - 1, -1, -1):
-        over = t + k[t] > T
-        if over.any():
-            s1, s2 = (int(i) for i in np.argwhere(over)[0])
-            raise ValueError(
-                f"assignment at ({s1}, {s2}, {t}) has window {int(k[t, s1, s2])} "
-                f"running past the horizon {T}"
-            )
         code = ((k[t] * nc1 + g1[t]) * nc2 + g2[t]).ravel()
         codes, counts = np.unique(code, return_counts=True)
         cells = np.split(np.argsort(code, kind="stable"), np.cumsum(counts)[:-1])
@@ -404,8 +401,29 @@ def _by_label(pols: Sequence[LocalGoalPolicy], agent: int) -> Dict[str, LocalGoa
     return out
 
 
+def check_windows(mech: LgoMechanism, m: DecMdpCom) -> None:
+    """Reject a goal-window table that does not fit the model: a shape other
+    than (T, n1, n2), or a window shorter than one step or running past the
+    horizon (the first such cell in (t, s1, s2) order is named)."""
+    T = m.horizon
+    need = (T, m.agent1.n_states, m.agent2.n_states)
+    for name in ("g1", "g2", "k"):
+        shape = getattr(mech, name).shape
+        if shape != need:
+            raise ValueError(f"mechanism table {name} has shape {shape}, the domain needs {need}")
+    bad = (mech.k < 1) | (mech.k > (T - np.arange(T))[:, None, None])
+    if bad.any():
+        t, s1, s2 = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"assignment at ({s1}, {s2}, {t}) has window {int(mech.k[t, s1, s2])}, "
+            f"which does not fit before the horizon {T}"
+        )
+
+
 def evaluate_lgo(mech: LgoMechanism, m: DecMdpCom) -> np.ndarray:
-    """Value table of a goal-assignment mechanism's table; V[horizon] = 0."""
+    """Value table of a goal-assignment mechanism's table; V[horizon] = 0.
+    A table that does not fit the model is rejected (check_windows)."""
+    check_windows(mech, m)
     return _evaluate_table(
         m, _WindowCache(m), mech.candidates1, mech.candidates2, mech.g1, mech.g2, mech.k,
         _phi_matrix(m),

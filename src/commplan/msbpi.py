@@ -260,26 +260,21 @@ def improve_state(
 
 def msbpi(
     m: DecMdpCom,
-    initial_delta: Optional[GeneralMechanism] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_option_length: Optional[int] = None,
 ) -> GeneralMechanism:
     """Policy iteration: evaluate, sweep all (s, t) for improvements against
     the frozen value table, apply the updates, and repeat until no cell
-    changes.  The default initial mechanism communicates immediately
-    everywhere; it is valued in closed form, and its pair table is built
-    only once a sweep has updates to apply or the search returns."""
+    changes.  The initial mechanism communicates immediately everywhere; it
+    is valued in closed form, and its pair table is built only once a sweep
+    has updates to apply or the search returns."""
     if max_option_length is not None and max_option_length < 1:
         raise ValueError(f"max_option_length must be >= 1, got {max_option_length}")
     require_valid(m)
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
-    if initial_delta is None:
-        pairs = None  # built on first use: the sweeps read only V
-        V = _evaluate_immediate_comm(m)
-    else:
-        pairs = dict(initial_delta.pairs)
-        V = evaluate_policy(initial_delta, m)
+    pairs = None  # built on first use: the sweeps read only V
+    V = _evaluate_immediate_comm(m)
     iterations = 0
     history: List[dict] = []
     sweep_nodes: List[int] = []

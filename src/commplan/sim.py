@@ -22,6 +22,9 @@ exchanges take no time.
     products pay off at the horizon.  The episode is a run of windows, each
     charged its exchange after its steps: one step on the joint policy for
     Ideal and AlwaysCommunicate, the assigned window for an LgoMechanism.
+    A machine's successful step moves it along the domain's made1 / made2
+    successor table, and the products count at the horizon is the model's
+    potential.
 
 Draws, which fix every result: agent 1 before agent 2 within a step; a
 walker draws one uniform per move it tries (none for stay, none once met),
@@ -74,7 +77,7 @@ from .domains import (
     SubGoals,
     manhattan,
 )
-from .lgo import LgoMechanism
+from .lgo import LgoMechanism, check_windows
 from .model import AgentModel, DecMdpCom, require_valid
 from .msbpi import GeneralMechanism
 from .myopic import split_distance
@@ -217,10 +220,9 @@ def _meeting(cfg: GridConfig, strategy):
 def _production(domain: ProductionDomain, strategy):
     """Draw width and slice runner of a production strategy."""
     T = domain.horizon
-    n1, n2 = domain.model.agent1.n_states, domain.model.agent2.n_states
     lgo = isinstance(strategy, LgoMechanism)
     if lgo:
-        _check_windows(strategy, T, n1, n2)
+        check_windows(strategy, domain.model)
         acts1 = _action_table(strategy.candidates1, T)
         acts2 = _action_table(strategy.candidates2, T)
     elif not isinstance(strategy, (Ideal, AlwaysCommunicate)):
@@ -228,8 +230,6 @@ def _production(domain: ProductionDomain, strategy):
     joint = None if lgo else domain.joint_policy
     fee = 0.0 if isinstance(strategy, Ideal) else domain.model.comm_cost
     step_cost = 2.0 * domain.action_cost
-    made1 = _made(n1, domain.decode1, domain.encode1, domain.caps1)
-    made2 = _made(n2, domain.decode2, domain.encode2, domain.caps2)
     start = domain.model.initial_state
     # the potential is the sellable-products count of a state
     products = domain.model.potential
@@ -257,8 +257,8 @@ def _production(domain: ProductionDomain, strategy):
                 end += 1
                 a1, a2 = np.divmod(joint.actions[t, s1, s2], joint.n_actions2)
             utility += step_cost
-            s1 = np.where(U[:, 2 * t] < domain.p_m1, made1[s1, a1], s1)
-            s2 = np.where(U[:, 2 * t + 1] < domain.p_m2, made2[s2, a2], s2)
+            s1 = np.where(U[:, 2 * t] < domain.p_m1, domain.made1[s1, a1], s1)
+            s2 = np.where(U[:, 2 * t + 1] < domain.p_m2, domain.made2[s2, a2], s2)
         utility += fee
         comm += 1
         utility += products[s1, s2]
@@ -267,40 +267,9 @@ def _production(domain: ProductionDomain, strategy):
     return 2 * T, run
 
 
-def _made(n_states: int, decode, encode, caps) -> np.ndarray:
-    """made[s, a]: a machine's state after action a (MAKE_A, MAKE_B) makes
-    a part in state s; a count at its cap stays there."""
-    a_count, b_count = decode(np.arange(n_states))
-    return np.stack([encode(np.minimum(a_count + 1, caps[0]), b_count),
-                     encode(a_count, np.minimum(b_count + 1, caps[1]))], axis=1)
-
-
-def _check_windows(mech: LgoMechanism, T: int, n1: int, n2: int) -> None:
-    """Reject a goal-window table that does not fit the domain: a shape other
-    than (T, n1, n2), or a window shorter than one step or running past the
-    horizon (the first such cell in (t, s1, s2) order is named)."""
-    for name in ("g1", "g2", "k"):
-        shape = getattr(mech, name).shape
-        if shape != (T, n1, n2):
-            raise ValueError(
-                f"mechanism table {name} has shape {shape}, the domain needs {(T, n1, n2)}"
-            )
-    bad = (mech.k < 1) | (mech.k > (T - np.arange(T))[:, None, None])
-    if bad.any():
-        t, s1, s2 = (int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(
-            f"assignment at ({s1}, {s2}, {t}) has window {int(mech.k[t, s1, s2])}, "
-            f"which does not fit before the horizon {T}"
-        )
-
-
 def _action_table(candidates, T: int) -> np.ndarray:
     """acts[g, t, s]: candidate g's action in local state s at time t < T."""
-    rows = []
-    for pol in candidates:
-        last = 0 if pol.stationary else pol.actions.shape[0] - 1
-        rows.append(pol.actions[np.minimum(np.arange(T), last)])
-    return np.stack(rows)
+    return np.stack([pol.actions[pol.row_at(np.arange(T))] for pol in candidates])
 
 
 def _cdf_rows(agent: AgentModel) -> list:

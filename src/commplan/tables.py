@@ -233,12 +233,11 @@ def production_values(comm_cost: float, rows=PRODUCTION_ROWS) -> Dict[Tuple[floa
     out = {}
     for p1, p2 in rows:
         domain = build_production(p1, p2, comm_cost=comm_cost)
-        s10 = domain.encode1(domain.initial.b_a, domain.initial.b_b)
-        s20 = domain.encode2(domain.initial.c_a, domain.initial.c_b)
-        ideal = float(domain.joint_policy.value[s10, s20])
+        s0 = domain.model.initial_state
+        ideal = float(domain.joint_policy.value[s0.s1, s0.s2])
         always = ideal + domain.horizon * comm_cost
         mech = lgo_msbpi(domain.model, domain.candidates1, domain.candidates2)
-        lgo = float(mech.value[0, s10, s20])
+        lgo = float(mech.value[0, s0.s1, s0.s2])
         out[(p1, p2)] = {"ideal": ideal, "always": always, "lgo": lgo}
     return out
 

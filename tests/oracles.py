@@ -30,6 +30,11 @@ the definitions live here and are checked against those kernels:
   validate() ran before its reachability became a product of two local
   sets, and joint_induction is the flat backward induction over every
   action pair and successor pair that solve_joint_mmdp must equal.
+- machine_model_loop, quota_actions_from_labels and production_arrays are
+  the production builder as it was before each machine's counts and
+  successor table were computed once as arrays: a cell-by-cell transition
+  loop and quotas that parse the "a-b" state labels.  build_production must
+  give the same arrays byte for byte.
 
 Bodies are as they were in the library, except that the myopic ones read
 time stamps through _stamp, since model states no longer carry one.
@@ -166,6 +171,79 @@ def joint_induction(m: DecMdpCom) -> np.ndarray:
                 nxt[s1, s2] = best
         V = nxt
     return V if m.potential is None else V + m.potential
+
+
+# ---------------------------------------------------------------------------
+# production model, as the scalar builder made it
+
+
+def machine_model_loop(name: str, p: float, init: Tuple[int, int], horizon: int,
+                       action_cost: float) -> Tuple[AgentModel, Tuple[int, int]]:
+    """One machine, state a_cnt * nb + b_cnt, built cell by cell; returns the
+    agent and its counter caps."""
+    cap_a, cap_b = init[0] + horizon, init[1] + horizon
+    na, nb = cap_a + 1, cap_b + 1
+    n = na * nb
+    trans = np.zeros((n, 2, n))
+    labels = []
+    for a_cnt in range(na):
+        for b_cnt in range(nb):
+            s = a_cnt * nb + b_cnt
+            labels.append(f"{a_cnt}-{b_cnt}")
+            bumped_a = (min(a_cnt + 1, cap_a)) * nb + b_cnt
+            bumped_b = a_cnt * nb + min(b_cnt + 1, cap_b)
+            trans[s, 0, bumped_a] += p
+            trans[s, 0, s] += 1.0 - p
+            trans[s, 1, bumped_b] += p
+            trans[s, 1, s] += 1.0 - p
+    agent = AgentModel(
+        n_states=n,
+        actions=("make_a", "make_b"),
+        transition=trans,
+        goal_candidates=(),
+        action_cost=np.array([action_cost, action_cost]),
+        noop=None,
+        state_labels=tuple(labels),
+        name=name,
+    )
+    return agent, (cap_a, cap_b)
+
+
+def quota_actions_from_labels(agent: AgentModel, x_a: int, x_b: int,
+                              init: Tuple[int, int]) -> np.ndarray:
+    """The (1, n) action row of the cyclic quota (x_a, x_b), reading each
+    state's counts back from its "a-b" label."""
+    acts = np.zeros((1, agent.n_states), dtype=int)
+    for s, label in enumerate(agent.state_labels):
+        a_cnt, b_cnt = (int(v) for v in label.split("-"))
+        produced = (a_cnt - init[0]) + (b_cnt - init[1])
+        acts[0, s] = 0 if produced % (x_a + x_b) < x_a else 1
+    return acts
+
+
+def production_arrays(p1: float, p2: float, T: int, initial, quotas) -> dict:
+    """The production model as the loop builder made it, and each machine's
+    quota action rows, one per (x_a, x_b) in quotas."""
+    b_a0, b_b0, c_a0, c_b0 = initial
+    machine1, caps1 = machine_model_loop("machine1", p1, (b_a0, b_b0), T, -1.0)
+    machine2, caps2 = machine_model_loop("machine2", p2, (c_a0, c_b0), T, -1.0)
+    nb1, nb2 = caps1[1] + 1, caps2[1] + 1
+    b_a, b_b = np.divmod(np.arange(machine1.n_states), nb1)
+    c_a, c_b = np.divmod(np.arange(machine2.n_states), nb2)
+    model = DecMdpCom(
+        agent1=machine1,
+        agent2=machine2,
+        comm_cost=-0.1,
+        horizon=T,
+        initial_state=FactoredState(b_a0 * nb1 + b_b0, c_a0 * nb2 + c_b0),
+        potential=np.minimum.outer(b_a, c_a) + np.minimum.outer(b_b, c_b),
+        name="production",
+    )
+    return {
+        "model": model,
+        "quotas1": [quota_actions_from_labels(machine1, x_a, x_b, (b_a0, b_b0)) for x_a, x_b in quotas],
+        "quotas2": [quota_actions_from_labels(machine2, x_a, x_b, (c_a0, c_b0)) for x_a, x_b in quotas],
+    }
 
 
 # ---------------------------------------------------------------------------

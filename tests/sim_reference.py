@@ -4,8 +4,10 @@ a bit-identity oracle.
 These are frozen copies of the simulator's grid move, its meeting,
 production and policy-tree episode runners and the ``run_episode`` dispatch,
 each with its own hand-written walk and per-step ``events`` list.  Only the
-imports differ from the original.  ``tests/test_sim_identity.py`` requires
-the library's engine to give the same per-episode logs on the same
+imports differ from the original, and the production runner's part counts:
+it reads them from the machines' "a-b" state labels (``_count_model``),
+never from the domain's successor tables.  ``tests/test_sim_identity.py``
+requires the library's engine to give the same per-episode logs on the same
 substreams.
 """
 
@@ -131,11 +133,20 @@ def _run_meeting(domain: MeetingDomain, strategy, rng):
     return utility, t, comm, {"events": events, "capped": capped, "final": (pos1, pos2)}
 
 
+def _count_model(agent, s0: int):
+    """A machine's part counts at state s0, the state of each count pair and
+    the counter caps, read from its "a-b" state labels."""
+    counts = [tuple(int(v) for v in label.split("-")) for label in agent.state_labels]
+    state = {cnt: s for s, cnt in enumerate(counts)}
+    return list(counts[s0]), lambda a, b: state[(a, b)], tuple(map(max, zip(*counts)))
+
+
 def _run_production(domain: ProductionDomain, strategy, rng):
     T = domain.horizon
     cost = domain.action_cost
-    b = [domain.initial.b_a, domain.initial.b_b]
-    c = [domain.initial.c_a, domain.initial.c_b]
+    s0 = domain.model.initial_state
+    b, encode1, caps1 = _count_model(domain.model.agent1, s0.s1)
+    c, encode2, caps2 = _count_model(domain.model.agent2, s0.s2)
     utility, comm = 0.0, 0
     events: list = []
 
@@ -147,12 +158,12 @@ def _run_production(domain: ProductionDomain, strategy, rng):
         charged = isinstance(strategy, AlwaysCommunicate)
         pol = domain.joint_policy
         for t in range(T):
-            s1 = domain.encode1(*b)
-            s2 = domain.encode2(*c)
+            s1 = encode1(*b)
+            s2 = encode2(*c)
             a1, a2 = pol.action_pair(s1, s2, t)
             utility += 2.0 * cost
-            bump(b, domain.caps1, a1, domain.p_m1)
-            bump(c, domain.caps2, a2, domain.p_m2)
+            bump(b, caps1, a1, domain.p_m1)
+            bump(c, caps2, a2, domain.p_m2)
             comm += 1
             if charged:
                 utility += domain.model.comm_cost
@@ -160,15 +171,15 @@ def _run_production(domain: ProductionDomain, strategy, rng):
     elif isinstance(strategy, LgoMechanism):
         t = 0
         while t < T:
-            s1 = domain.encode1(*b)
-            s2 = domain.encode2(*c)
+            s1 = encode1(*b)
+            s2 = encode2(*c)
             asg = strategy.assignment_at(s1, s2, t)
             for j in range(asg.k):
-                a1 = asg.g1.action_at(domain.encode1(*b), t + j)
-                a2 = asg.g2.action_at(domain.encode2(*c), t + j)
+                a1 = asg.g1.action_at(encode1(*b), t + j)
+                a2 = asg.g2.action_at(encode2(*c), t + j)
                 utility += 2.0 * cost
-                bump(b, domain.caps1, a1, domain.p_m1)
-                bump(c, domain.caps2, a2, domain.p_m2)
+                bump(b, caps1, a1, domain.p_m1)
+                bump(c, caps2, a2, domain.p_m2)
             t += asg.k
             comm += 1
             utility += domain.model.comm_cost
@@ -178,7 +189,7 @@ def _run_production(domain: ProductionDomain, strategy, rng):
     else:
         raise ValueError(f"unsupported production strategy: {strategy!r}")
 
-    products = domain.products(domain.encode1(*b), domain.encode2(*c))
+    products = min(b[0], c[0]) + min(b[1], c[1])
     utility += products
     events.append(("end", T, products))
     return utility, T, comm, {"events": events, "capped": False}

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from commplan.domains import (
     DEFAULT_PRODUCTION_OPTIONS,
     GRID_ACTIONS,
+    MAKE_A,
+    MAKE_B,
     STAY,
     GridConfig,
     JointPolicy,
     ProductionOption,
-    ProductionState,
     SubGoals,
     SUBGOAL_SWEEP,
     build_meeting,
@@ -29,22 +30,29 @@ from commplan.domains import (
 )
 from commplan.model import validate
 from conftest import TOY_GRID, toy_model
-from oracles import joint_induction, midpoint, step_toward, successors
+from oracles import joint_induction, midpoint, production_arrays, step_toward, successors
 
 
 # ---------------------------------------------------------------------------
 # production bookkeeping
 
 
+def state_of(agent, a_cnt, b_cnt):
+    """The machine state whose label holds these part counts."""
+    return agent.state_labels.index(f"{a_cnt}-{b_cnt}")
+
+
 def test_products_pair_up_across_machines():
-    assert ProductionState(2, 1, 1, 3).products() == 2
-    assert ProductionState(0, 5, 4, 0).products() == 0
-    assert ProductionState(3, 3, 3, 3).products() == 6
+    # the potential of a state pair is its count of sellable products
+    dom = build_production(0.5, 0.5, T=5)
+    m1, m2 = dom.model.agent1, dom.model.agent2
+    for (b_a, b_b, c_a, c_b), want in (((2, 1, 1, 3), 2), ((0, 5, 4, 0), 0), ((3, 3, 3, 3), 6)):
+        assert dom.model.potential[state_of(m1, b_a, b_b), state_of(m2, c_a, c_b)] == want
 
 
 def test_part_counts_must_be_nonnegative():
     with pytest.raises(ValueError, match="nonnegative"):
-        ProductionState(1, -1, 0, 0)
+        build_production(0.5, 0.5, initial=(1, -1, 0, 0))
 
 
 def test_quota_option_validation():
@@ -58,8 +66,11 @@ def test_quota_option_validation():
 
 def test_quota_policy_cycles_by_parts_produced():
     dom = build_production(0.5, 0.5, T=6)
-    pol = quota_policy(dom.model.agent1, ProductionOption(2, 3), (0, 0))
+    agent = dom.model.agent1
+    produced = np.array([sum(map(int, label.split("-"))) for label in agent.state_labels])
+    pol = quota_policy(produced, ProductionOption(2, 3))
     assert pol.label == "quota_2_3"
+    assert np.array_equal(pol.actions, dom.candidates1[2].actions)
     # position in the cycle is total parts made so far, so a failed attempt
     # (count unchanged) retries the same type
     by_counts = {
@@ -67,15 +78,17 @@ def test_quota_policy_cycles_by_parts_produced():
         (2, 3): 0, (3, 3): 0, (4, 3): 1,
     }
     for (a_cnt, b_cnt), want in by_counts.items():
-        s = dom.encode1(a_cnt, b_cnt)
-        assert pol.action_at(s, 0) == want
+        assert pol.action_at(state_of(agent, a_cnt, b_cnt), 0) == want
 
 
 def test_machine_counters_clamp_at_their_caps():
     dom = build_production(1.0, 1.0, T=2)
-    assert dom.caps1 == (2, 2)
-    s = dom.encode1(2, 0)
-    row = dom.model.agent1.transition[s, 0]
+    agent = dom.model.agent1
+    assert agent.state_labels[-1] == "2-2"  # caps: initial count plus T
+    s = state_of(agent, 2, 0)
+    assert dom.made1[s, MAKE_A] == s
+    assert dom.made1[s, MAKE_B] == state_of(agent, 2, 1)
+    row = agent.transition[s, MAKE_A]
     assert row[s] == 1.0
 
 
@@ -91,8 +104,8 @@ def test_production_model_passes_validation():
 
 def test_deterministic_alternating_quotas_make_ten_products():
     dom = build_production(1.0, 1.0, T=10)
-    pol1 = quota_policy(dom.model.agent1, ProductionOption(1, 1), (0, 0))
-    pol2 = quota_policy(dom.model.agent2, ProductionOption(1, 1), (0, 8))
+    pol1, pol2 = dom.candidates1[3], dom.candidates2[3]
+    assert pol1.label == pol2.label == "quota_1_1"
     s1, s2 = dom.model.initial_state.s1, dom.model.initial_state.s2
     total = 0.0
     for t in range(dom.horizon):
@@ -103,19 +116,56 @@ def test_deterministic_alternating_quotas_make_ten_products():
         assert row1[n1] == 1.0 and row2[n2] == 1.0
         total += dom.model.step_reward(s1, s2, a1, a2, n1, n2)
         s1, s2 = n1, n2
-    assert dom.decode1(s1) == (5, 5)
-    assert dom.decode2(s2) == (5, 13)
-    assert dom.products(s1, s2) == 10
+    assert dom.model.agent1.state_labels[s1] == "5-5"
+    assert dom.model.agent2.state_labels[s2] == "5-13"
+    assert dom.model.potential[s1, s2] == 10
     # twenty action charges, ten products sold at the end
     assert total == pytest.approx(-10.0, abs=1e-12)
 
 
 def test_encode_decode_roundtrip():
+    # state a * (cap_b + 1) + b is labelled "a-b", each count pair has one
+    # state, and a MAKE lands on the state labelled with the bumped count
     dom = build_production(0.5, 0.5, T=3)
-    for b_a in range(dom.caps1[0] + 1):
-        for b_b in range(dom.caps1[1] + 1):
-            assert dom.decode1(dom.encode1(b_a, b_b)) == (b_a, b_b)
-    assert dom.decode2(dom.encode2(2, 9)) == (2, 9)
+    for agent, made in ((dom.model.agent1, dom.made1), (dom.model.agent2, dom.made2)):
+        counts = [tuple(map(int, label.split("-"))) for label in agent.state_labels]
+        cap_a, cap_b = counts[-1]
+        assert counts == [(a, b) for a in range(cap_a + 1) for b in range(cap_b + 1)]
+        for s, (a, b) in enumerate(counts):
+            assert counts[made[s, MAKE_A]] == (min(a + 1, cap_a), b)
+            assert counts[made[s, MAKE_B]] == (a, min(b + 1, cap_b))
+    assert dom.model.agent2.state_labels[dom.model.initial_state.s2] == "0-8"
+    assert dom.model.agent2.state_labels[-1] == "3-11"
+
+
+@pytest.mark.parametrize("T", [2, 4, 10])
+@pytest.mark.parametrize(
+    "p1, p2, initial",
+    [(1.0, 1.0, (0, 0, 0, 8)), (0.8, 0.8, (0, 0, 0, 8)), (0.3, 0.9, (0, 0, 0, 8)),
+     (0.6, 1.0, (1, 2, 0, 8)), (0.7, 0.45, (3, 0, 2, 1))],
+)
+def test_production_builder_matches_loop_builder(p1, p2, initial, T):
+    # p = 1.0 puts p + (1 - p) in each cap row; the arrays must be the
+    # loop builder's, dtype and bytes
+    def same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        return got.dtype == want.dtype and np.array_equal(got, want)
+
+    dom = build_production(p1, p2, T=T, initial=initial)
+    quotas = [(o.x_a, o.x_b) for o in DEFAULT_PRODUCTION_OPTIONS]
+    want = production_arrays(p1, p2, T, initial, quotas)
+    m, ref = dom.model, want["model"]
+    for agent, ref_agent in ((m.agent1, ref.agent1), (m.agent2, ref.agent2)):
+        assert same(agent.transition, ref_agent.transition)
+        assert agent.state_labels == ref_agent.state_labels
+    assert same(m.potential, ref.potential)
+    assert m.initial_state == ref.initial_state
+    assert all(type(s) is int for s in (m.initial_state.s1, m.initial_state.s2))
+    for pols, rows in ((dom.candidates1, want["quotas1"]), (dom.candidates2, want["quotas2"])):
+        assert [pol.label for pol in pols] == [f"quota_{a}_{b}" for a, b in quotas]
+        assert all(pol.stationary for pol in pols)
+        for pol, row in zip(pols, rows):
+            assert same(pol.actions, row)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +203,7 @@ def test_joint_optimum_deterministic_production():
         a1, a2 = pol.action_pair(s1, s2, t)
         s1 = int(np.argmax(dom.model.agent1.transition[s1, a1]))
         s2 = int(np.argmax(dom.model.agent2.transition[s2, a2]))
-    assert dom.products(s1, s2) == 10
+    assert dom.model.potential[s1, s2] == 10
 
 
 def test_joint_optimum_stochastic_production_hits_counting_bound():

@@ -73,6 +73,11 @@ def test_policy_row_selection():
     assert LATE_POL.action_at(0, 1) == GO
     assert LATE_POL.action_at(0, 99) == GO  # rows clamp at the last one
     assert GO_POL.action_at(0, 99) == GO  # stationary ignores time
+    # a stationary policy reads row 0 even when it holds more rows
+    two_rows = LocalGoalPolicy("two", np.array([[GO, WAIT], [WAIT, GO]]), stationary=True)
+    assert two_rows.action_at(0, 1) == GO
+    assert np.array_equal(two_rows.row_at(np.arange(4)), [0, 0, 0, 0])
+    assert np.array_equal(LATE_POL.row_at(np.arange(4)), [0, 1, 1, 1])
 
 
 # ------------------------------------------------------------- local solver
@@ -312,6 +317,27 @@ def test_evaluate_lgo_rejects_overlong_window():
     }
     with pytest.raises(ValueError):
         evaluate_table(table, m)
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_evaluate_lgo_rejects_a_window_shorter_than_one_step(window):
+    dom = build_production(0.8, 0.8, T=4, comm_cost=-0.1)
+    mech = lgo_msbpi(dom.model, dom.candidates1, dom.candidates2)
+    mech.k[1, 3, 4] = window
+    with pytest.raises(ValueError, match=rf"assignment at \(3, 4, 1\) has window {window}"):
+        evaluate_lgo(mech, dom.model)
+    mech.k[:] = 3
+    # the first cell in (t, s1, s2) order whose window ends past T=4
+    with pytest.raises(ValueError, match=r"assignment at \(0, 0, 2\) has window 3"):
+        evaluate_lgo(mech, dom.model)
+
+
+def test_evaluate_lgo_rejects_a_table_of_another_shape():
+    dom = build_production(0.8, 0.8, T=4, comm_cost=-0.1)
+    mech = lgo_msbpi(dom.model, dom.candidates1, dom.candidates2)
+    longer = build_production(0.8, 0.8, T=5, comm_cost=-0.1)
+    with pytest.raises(ValueError, match=r"shape \(4, 25, 65\).*\(5, 36, 84\)"):
+        evaluate_lgo(mech, longer.model)
 
 
 @given(seed=st.integers(0, 10**6), params=st.sampled_from(TOY_GRID))

@@ -39,13 +39,6 @@ def test_toys_match_root_walk(params, max_option_length, horizon):
     )
 
 
-@pytest.mark.parametrize("params", TOY_GRID)
-def test_run_from_initial_delta_matches_root_walk(params):
-    m = toy_model(**params)
-    seed = msbpi(m, max_option_length=1)
-    assert_identical(msbpi(m, initial_delta=seed), ref.msbpi(m, initial_delta=seed))
-
-
 @pytest.mark.parametrize("budget", [10, 500, 3000])
 def test_budget_overrun_counts_match_root_walk(budget):
     model = build_meeting(GridConfig(p1=0.8, p2=0.8)).model
