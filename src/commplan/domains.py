@@ -380,7 +380,7 @@ def _grid_agent(name: str, cfg: GridConfig, p: float) -> AgentModel:
 
 @dataclass(eq=False)
 class MeetingDomain:
-    """The grid rendezvous scenario: joint model plus geometry helpers.
+    """The grid rendezvous scenario: joint model plus its grid.
 
     The joint model is expressed in system-step units (one unit per step
     while the agents are apart, zero action costs) so its values line up
@@ -390,12 +390,6 @@ class MeetingDomain:
 
     model: DecMdpCom
     config: GridConfig
-
-    def encode(self, pos: Tuple[int, int]) -> int:
-        return grid_state(pos, self.config)
-
-    def decode(self, s: int) -> Tuple[int, int]:
-        return divmod(s, self.config.height)
 
 
 def build_meeting(cfg: GridConfig) -> MeetingDomain:

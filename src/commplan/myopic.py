@@ -9,6 +9,12 @@ exchange-time table for each starting distance follows from an exact
 evolution of the remaining distances.  The generic theta_nc and theta_c on
 any joint model are test oracles (tests/oracles.py).
 
+Each exchange-time table is built once per process: comm_policy_table keeps
+the table's (distance, time) items per (grid_size, p_u, comm_cost,
+action_cost, time_cap), however the arguments are passed, and every call
+returns a new CommPolicy with its own times dict, so editing one result
+does not change the next.
+
 Units in this module are system time steps: every step while the goal is
 unmet costs 1, so a joint utility that charges each of the two agents per
 step is twice these values, and an exchange cost C is C/2 here.
@@ -127,6 +133,15 @@ def comm_policy_table(
     entry is one past the earliest t that strictly beats never exchanging;
     no such t under the cap means no entry.
     """
+    times = _exchange_times(grid_size, p_u, comm_cost, action_cost, time_cap)
+    return CommPolicy(times=dict(times), grid_size=grid_size, p_u=p_u, comm_cost=comm_cost)
+
+
+@lru_cache(maxsize=None)
+def _exchange_times(
+    grid_size: int, p_u: float, comm_cost: float, action_cost: float, time_cap: int
+) -> Tuple[Tuple[int, int], ...]:
+    """comm_policy_table's (separation, exchange time) items, built once."""
     if not (0.0 < p_u <= 1.0):
         raise ValueError(f"success probability must be in (0, 1], got {p_u}")
     if action_cost >= 0.0:
@@ -150,7 +165,7 @@ def comm_policy_table(
             if value > base + 1e-12:
                 times[d] = t + 1
                 break
-    return CommPolicy(times=times, grid_size=grid_size, p_u=p_u, comm_cost=comm_cost)
+    return tuple(times.items())
 
 
 def comm_table_csv(

@@ -36,14 +36,19 @@ with the same uniform.
 Batched stepping.  An episode draws at most `width` uniforms: 2 *
 horizon_cap on the meeting grid, 2 * T in production and on policy trees.
 monte_carlo draws them ahead, in one call per episode, from a Generator on
-the episode's own child of SeedSequence(seed), children spawned in episode
-order, into one C-ordered (rows, width) float64 buffer of at most
-SLICE_BYTES, one row per episode; the batch runs a slice of `rows` episodes
-at a time and reuses the buffer, so memory does not grow with the batch
-(81 episodes a slice on the meeting grid at the default cap of 200 steps).
-Each episode reads its row through a cursor that advances only where a draw
-is listed above.  Meeting and production episodes of a slice step together
-in numpy; policy-tree episodes walk their trees one at a time.
+the episode's own child of SeedSequence(seed), into one C-ordered (rows,
+width) float64 buffer of at most SLICE_BYTES, one row per episode; the
+batch runs a slice of `rows` episodes at a time and reuses the buffer, so
+memory does not grow with the batch (81 episodes a slice on the meeting grid
+at the default cap of 200 steps).  The children are not spawned: for each
+slice, _child_words runs SeedSequence's entropy mixing and generate_state
+once, on uint32 arrays with one lane per child, and PCG64 is seeded from
+each child's four words.  The hash constants evolve the same way whatever
+the data, so every lane does what numpy does for that child, and the
+streams are the ones spawn(episodes) gives.  Each episode reads its row
+through a cursor that advances only where a draw is listed above.  Meeting
+and production episodes of a slice step together in numpy; policy-tree
+episodes walk their trees one at a time.
 
 The meeting walk needs no positions.  Between exchanges each walker follows
 a shortest path to the midpoint, which lies on a shortest path between the
@@ -60,8 +65,10 @@ exchange-time analysis in commplan.myopic already works in.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,8 +105,14 @@ class SimConfig:
     log_episodes: bool = False
 
     def __post_init__(self):
+        self.seed = operator.index(self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.episodes < 1:
             raise ValueError(f"episodes must be >= 1, got {self.episodes}")
+        # an episode's spawn key must fit one uint32 word
+        if self.episodes > 2**32:
+            raise ValueError(f"episodes must be <= 2**32, got {self.episodes}")
 
 
 @dataclass
@@ -123,6 +136,81 @@ class SimResult:
     @property
     def comm_std_error(self) -> float:
         return math.sqrt(self.comm_variance / self.episodes)
+
+
+# SeedSequence's pool size and hash constants (numpy.random.bit_generator)
+_POOL = 4
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _child_words(seed: int, start: int, n: int) -> np.ndarray:
+    """(n, 4) uint64: row i is SeedSequence(seed).spawn(start + n)[start +
+    i].generate_state(4, np.uint64), the words PCG64 is seeded from.
+
+    numpy's entropy mixing, written once for Python ints (the words shared
+    by every child) and uint32 arrays (the spawn key, one lane per child);
+    every product is reduced mod 2**32 as numpy's uint32 arithmetic does.
+    The run entropy is padded to the pool size because a spawn key is
+    present.  seed must be >= 0 and start + n <= 2**32.
+    """
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK)
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [0] * (_POOL - len(entropy))
+    entropy.append(np.arange(start, start + n, dtype=np.uint32))
+
+    def hasher(const, mult):
+        def hash_word(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK
+            value = value * const & _MASK
+            return value ^ value >> 16
+
+        return hash_word
+
+    def mix(x, y):
+        value = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+        return value ^ value >> 16
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state: four uint64 words, as eight uint32 words low half first
+    out = hasher(_INIT_B, _MULT_B)
+    state = np.stack([out(pool[i % _POOL]) for i in range(8)], axis=1)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@lru_cache(maxsize=None)
+def _words_type():
+    """A seed sequence that hands PCG64 one child's precomputed words.
+
+    Made on the first batch, so that importing commplan does not load
+    numpy.random (about 5 MiB).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
 
 
 def _meeting(cfg: GridConfig, strategy):
@@ -365,13 +453,12 @@ def monte_carlo(cfg: SimConfig) -> SimResult:
     """cfg.episodes independent episodes on decorrelated substreams.
 
     Single-threaded and ordered; a fixed seed gives identical results on
-    every run.  Episode i draws from child i of SeedSequence(seed), spawned
-    one at a time as its buffer row is filled: the same streams as
-    spawn(episodes), without holding every child (about 0.7 KiB each) for
-    the whole batch or slice.
+    every run.  Episode i draws from child i of SeedSequence(seed), the
+    stream of spawn(episodes)[i]; the children's PCG64 seed words are hashed
+    a slice at a time.
     """
     width, run = _engine(cfg.domain, cfg.strategy)
-    seeds = np.random.SeedSequence(cfg.seed)
+    words_seed = _words_type()
     utilities = np.empty(cfg.episodes)
     steps = np.empty(cfg.episodes)
     comms = np.empty(cfg.episodes)
@@ -380,8 +467,8 @@ def monte_carlo(cfg: SimConfig) -> SimResult:
     buffer = np.empty((min(rows, cfg.episodes), width))
     for start in range(0, cfg.episodes, rows):
         U = buffer[: min(rows, cfg.episodes - start)]
-        for row in U:
-            np.random.Generator(np.random.PCG64(seeds.spawn(1)[0])).random(out=row)
+        for words, row in zip(_child_words(cfg.seed, start, len(U)), U):
+            np.random.Generator(np.random.PCG64(words_seed(words))).random(out=row)
         got = slice(start, start + len(U))
         utilities[got], steps[got], comms[got], cut = run(U)
         capped += int(cut.sum())

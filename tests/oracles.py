@@ -24,7 +24,8 @@ the definitions live here and are checked against those kernels:
   head x-leg first for the middle cell of a shortest path.  The grid
   reference engine walks with them, and they check that agent 1 is d // 2
   and agent 2 d - d // 2 steps from that cell, the split the library's
-  distance-only meeting engine applies.
+  distance-only meeting engine applies.  encode and decode map a meeting
+  domain's grid cells to its state indices and back.
 - successors, is_goal, goal_reachable_bfs and joint_induction read a joint
   model state by state: goal_reachable_bfs is the joint-state search that
   validate() ran before its reachability became a product of two local
@@ -50,7 +51,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from commplan.domains import STAY, manhattan
+from commplan.domains import STAY, grid_state, manhattan
 from commplan.lgo import GoalAssignment, _step_matrix
 from commplan.model import AgentModel, DecMdpCom, FactoredState
 from commplan.options import COMMUNICATE, PolicyTree, _forward_level, _Successors
@@ -94,6 +95,16 @@ def step_toward(pos: Tuple[int, int], goal: Tuple[int, int]) -> int:
     if y != goal[1]:
         return 0 if goal[1] > y else 1
     return STAY
+
+
+def encode(domain, pos: Tuple[int, int]) -> int:
+    """State index of grid cell pos in a meeting domain."""
+    return grid_state(pos, domain.config)
+
+
+def decode(domain, s: int) -> Tuple[int, int]:
+    """Grid cell (x, y) of state s in a meeting domain."""
+    return divmod(s, domain.config.height)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,6 @@ def test_acceptance_4_meeting_monte_carlo(meeting_reports, capsys):
         f"max table time {max(dt for _, (_, dt) in meeting_reports.items()):.1f}s",
     )
 
-    assert not slow, f"tables over the 60s budget: {slow}"
     bounded = [f for f in failures if f[0] in ("T8", "T9", "T10") or "ideal comms" in f[1]]
     counted = [f for f in failures if f not in bounded]
     never = [f for f in counted if f[3] == 0.0]
@@ -219,32 +218,35 @@ def test_acceptance_4_meeting_monte_carlo(meeting_reports, capsys):
         for t, l, e, a in counted
         if a != 0.0
     )
-    assert not failures, (
-        f"{len(failures)} of {gated} gated cells fall outside 3 standard "
-        "errors.\n"
-        f"{len(bounded)} of them are the T8-T10 utilities and the T11 ideal "
-        "exchange counts, and those recorded values are unattainable on this "
-        "domain: agents starting 18 apart close at most 2 cells per step, "
-        "each move landing with probability p, so expected meeting time is "
-        "at least 18/(2p) steps.  Utility (two agents paying -1 per step) is "
-        "then at most -18/p, and the ideal strategy, which exchanges every "
-        "step until the agents meet, makes at least 9/p exchanges.  The "
-        "recorded values lie beyond those bounds at every p:\n" + bound_rows + "\n"
-        "Simulated values do respect the bounds, and the no-communication "
-        "column (which the analytic recursion pins down) matches to 0.01, "
-        "so the discrepancy is confined to the recorded comm-strategy "
-        "columns.\n"
-        f"The other {len(counted)} are myopic exchange counts, on which the "
-        "bounds say nothing: the myopic strategy exchanges when the "
-        "exchange-time table of acceptance 1 says so.  That table has no "
-        "entry at the start separation d=18 for fee -10 at any p, nor for "
-        "fee -1 at p=0.8, so there the strategy never exchanges and the "
-        "simulated count is exactly 0 with zero SE:\n" + never_rows + "\n"
-        "The remaining count misses lie on both sides of the record, and "
-        "the repository's documents do not settle why (they state neither "
-        "the recorded move model nor how the recorded myopic rule accounts "
-        "for costs):\n" + count_rows
-    )
+    problems = [f"tables over the 60s budget: {slow}"] if slow else []
+    if failures:
+        problems.append(
+            f"{len(failures)} of {gated} gated cells fall outside 3 standard "
+            "errors.\n"
+            f"{len(bounded)} of them are the T8-T10 utilities and the T11 ideal "
+            "exchange counts, and those recorded values are unattainable on this "
+            "domain: agents starting 18 apart close at most 2 cells per step, "
+            "each move landing with probability p, so expected meeting time is "
+            "at least 18/(2p) steps.  Utility (two agents paying -1 per step) is "
+            "then at most -18/p, and the ideal strategy, which exchanges every "
+            "step until the agents meet, makes at least 9/p exchanges.  The "
+            "recorded values lie beyond those bounds at every p:\n" + bound_rows + "\n"
+            "Simulated values do respect the bounds, and the no-communication "
+            "column (which the analytic recursion pins down) matches to 0.01, "
+            "so the discrepancy is confined to the recorded comm-strategy "
+            "columns.\n"
+            f"The other {len(counted)} are myopic exchange counts, on which the "
+            "bounds say nothing: the myopic strategy exchanges when the "
+            "exchange-time table of acceptance 1 says so.  That table has no "
+            "entry at the start separation d=18 for fee -10 at any p, nor for "
+            "fee -1 at p=0.8, so there the strategy never exchanges and the "
+            "simulated count is exactly 0 with zero SE:\n" + never_rows + "\n"
+            "The remaining count misses lie on both sides of the record, and "
+            "the repository's documents do not settle why (they state neither "
+            "the recorded move model nor how the recorded myopic rule accounts "
+            "for costs):\n" + count_rows
+        )
+    assert not problems, "\n".join(problems)
 
 
 def test_acceptance_5_production_monte_carlo(production_reports, capsys):
@@ -270,7 +272,6 @@ def test_acceptance_5_production_monte_carlo(production_reports, capsys):
         f"max table time {max(dt for _, (_, dt) in production_reports.items()):.1f}s",
     )
 
-    assert not slow, f"tables over the 120s budget: {slow}"
     planned = {
         (tid, check.label): check.actual
         for tid, (report, _) in production_reports.items()
@@ -285,27 +286,30 @@ def test_acceptance_5_production_monte_carlo(production_reports, capsys):
             f"({'better' if a > e else 'worse'} than the record; the optimum "
             f"{optimum:.3f} less {fees:.3g} fees)"
         )
-    assert not failures, (
-        f"{len(failures)} of {gated} cells fall outside tolerance.\n"
-        "The recorded ideal column is one unit above a counting cap: the "
-        "second machine can only consume parts the first machine has built, "
-        "so finished products never exceed machine 1's successful builds, "
-        "and with 10 steps at -1 each plus +1 per product the utility is at "
-        "most -20 + 10*p1 in expectation.  The recorded ideal column equals "
-        "-19 + 10*p1 at every (p1, p2), one unit above the cap; the "
-        "planned optimum (backward induction over the joint model) sits "
-        "exactly at the cap.  The always-communicate column shifts by ten "
-        "exchange fees and inherits the same offset.\n"
-        f"Mechanism (lgo) cells use a 1.0 tolerance; {len(lgo_failures)} miss, "
-        "on both sides of the record:\n" + "\n".join(lgo_rows) + "\n"
-        "Every planned lgo value is the optimum less two exchange fees.  The "
-        "mechanism charges the exchange that closes every window, including "
-        "one that ends at the horizon, and windows last at most T-1 steps "
-        "(lgo.py), so each plan pays at least two fees.  That is why "
-        "T3 p=(0.2,0.2) is worse than the record: the optimum -18 less two "
-        "fees of 10 is -38, against a recorded -17.262.\n"
-        f"misses: {[(t, l, e, round(a, 3)) for t, l, e, a in failures]}"
-    )
+    problems = [f"tables over the 120s budget: {slow}"] if slow else []
+    if failures:
+        problems.append(
+            f"{len(failures)} of {gated} cells fall outside tolerance.\n"
+            "The recorded ideal column is one unit above a counting cap: the "
+            "second machine can only consume parts the first machine has built, "
+            "so finished products never exceed machine 1's successful builds, "
+            "and with 10 steps at -1 each plus +1 per product the utility is at "
+            "most -20 + 10*p1 in expectation.  The recorded ideal column equals "
+            "-19 + 10*p1 at every (p1, p2), one unit above the cap; the "
+            "planned optimum (backward induction over the joint model) sits "
+            "exactly at the cap.  The always-communicate column shifts by ten "
+            "exchange fees and inherits the same offset.\n"
+            f"Mechanism (lgo) cells use a 1.0 tolerance; {len(lgo_failures)} miss, "
+            "on both sides of the record:\n" + "\n".join(lgo_rows) + "\n"
+            "Every planned lgo value is the optimum less two exchange fees.  The "
+            "mechanism charges the exchange that closes every window, including "
+            "one that ends at the horizon, and windows last at most T-1 steps "
+            "(lgo.py), so each plan pays at least two fees.  That is why "
+            "T3 p=(0.2,0.2) is worse than the record: the optimum -18 less two "
+            "fees of 10 is -38, against a recorded -17.262.\n"
+            f"misses: {[(t, l, e, round(a, 3)) for t, l, e, a in failures]}"
+        )
+    assert not problems, "\n".join(problems)
 
 
 def test_acceptance_6_msbpi_matches_enumeration(capsys):

@@ -154,17 +154,18 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["simulate", "--strategy", "no_comm", "--episodes", "0"],
         ["simulate", "--strategy", "subgoals", "--subgoal-p", "0"],
         ["simulate", "--strategy", "no_comm", "--pu", "1.5"],
+        ["simulate", "--strategy", "no_comm", "--seed", "-1"],
     ],
     ids=["model-file-repeated-key", "model-file-missing", "model-file-bare-key",
          "max-option-length-0", "lgo-positive-comm-cost", "plan-pu-0", "lgo-on-meeting",
-         "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5"],
+         "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5", "seed-negative"],
 )
 def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")
     (tmp_path / "bare.model").write_text("horizon\n")
     rc, _, err = run_cli(capsys, [a.format(tmp=tmp_path) for a in argv])
     assert rc == EXIT_USAGE
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

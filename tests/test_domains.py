@@ -30,7 +30,8 @@ from commplan.domains import (
 )
 from commplan.model import validate
 from conftest import TOY_GRID, toy_model
-from oracles import joint_induction, midpoint, production_arrays, step_toward, successors
+from oracles import (decode, encode, joint_induction, midpoint, production_arrays,
+                     step_toward, successors)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def test_meeting_model_passes_validation():
 def test_meeting_edge_moves_clamp_in_place():
     dom = build_meeting(GridConfig(width=3, height=3, p1=0.7, p2=0.7,
                                    start2=(2, 2)))
-    corner = dom.encode((0, 0))
+    corner = encode(dom, (0, 0))
     west = GRID_ACTIONS.index("west")
     row = dom.model.agent1.transition[corner, west]
     assert row[corner] == 1.0
@@ -292,10 +293,10 @@ def test_grid_agent_rows_come_from_grid_target(p):
     agent = dom.model.agent1
     for x in range(cfg.width):
         for y in range(cfg.height):
-            s = dom.encode((x, y))
+            s = encode(dom, (x, y))
             for a in range(len(GRID_ACTIONS)):
                 want = np.zeros(agent.n_states)
-                want[dom.encode(grid_target((x, y), a, cfg))] += p
+                want[encode(dom, grid_target((x, y), a, cfg))] += p
                 want[s] += 1.0 - p
                 assert np.array_equal(agent.transition[s, a], want), (x, y, a)
 
@@ -315,8 +316,8 @@ def test_meeting_goal_and_step_charge():
     dom = build_meeting(GridConfig(width=3, height=3, p1=0.5, p2=0.5,
                                    start2=(2, 2)))
     m = dom.model
-    a = dom.encode((1, 1))
-    b = dom.encode((2, 0))
+    a = encode(dom, (1, 1))
+    b = encode(dom, (2, 0))
     assert m.goal[a, a]
     assert not m.goal[a, b]
     # one unit per step while apart, nothing once co-located
@@ -331,11 +332,11 @@ def test_meeting_distance_changes_at_most_two_per_step():
     n = m.agent1.n_states
     for s1 in range(n):
         for s2 in range(n):
-            d = manhattan(dom.decode(s1), dom.decode(s2))
+            d = manhattan(decode(dom, s1), decode(dom, s2))
             for a1 in range(5):
                 for a2 in range(5):
                     for q1 in successors(m.agent1, s1, a1):
                         for q2 in successors(m.agent2, s2, a2):
-                            dq = manhattan(dom.decode(int(q1)),
-                                           dom.decode(int(q2)))
+                            dq = manhattan(decode(dom, int(q1)),
+                                           decode(dom, int(q2)))
                             assert abs(dq - d) <= 2

@@ -15,6 +15,7 @@ from commplan.domains import GridConfig, build_meeting
 from commplan.lgo import LocalGoalPolicy
 from commplan.myopic import (
     CommPolicy,
+    _exchange_times,
     comm_policy_table,
     comm_table_csv,
     distance_evolution,
@@ -23,7 +24,8 @@ from commplan.myopic import (
 )
 
 from conftest import toy_model
-from oracles import FixedLocalPolicies, midpoint, pbar, rbar, step_toward, theta_c, theta_nc
+from oracles import (FixedLocalPolicies, decode, encode, midpoint, pbar, rbar, step_toward,
+                     theta_c, theta_nc)
 from oracles import TimedState as FactoredState
 
 GO, WAIT = 0, 1
@@ -137,6 +139,7 @@ def test_meeting_time_work_scales_with_grid_area():
     # of distinct cells solved for a g x g grid is at most g * g
     for g in (4, 6, 8, 10):
         theta_nc_meeting.cache_clear()
+        _exchange_times.cache_clear()
         comm_policy_table(grid_size=g, p_u=0.6, comm_cost=-0.1)
         assert theta_nc_meeting.cache_info().misses <= g * g
     theta_nc_meeting.cache_clear()
@@ -174,7 +177,7 @@ def _walk_to_midpoint(dom):
     target = midpoint(dom.config.start1, dom.config.start2)
 
     def act(s, t):
-        return step_toward(dom.decode(s), target)
+        return step_toward(decode(dom, s), target)
 
     return FixedLocalPolicies(act, act)
 
@@ -305,8 +308,8 @@ def test_exchange_adds_only_its_fee_when_deterministic():
     s0 = dom.model.initial_state
     base = theta_nc(dom.model, s0, pol)
     assert base == pytest.approx(-2.0, abs=1e-12)
-    reveal1 = FactoredState(dom.encode((1, 0)), None, 1)
-    reveal2 = FactoredState(None, dom.encode((3, 0)), 1)
+    reveal1 = FactoredState(encode(dom, (1, 0)), None, 1)
+    reveal2 = FactoredState(None, encode(dom, (3, 0)), 1)
     assert theta_c(dom.model, s0, reveal1, pol) == pytest.approx(-2.1)
     assert theta_c(dom.model, s0, reveal2, pol) == pytest.approx(-2.1)
 
@@ -317,7 +320,7 @@ def test_exchange_fee_waived_once_goal_reached():
                      comm_cost=-0.1, horizon_cap=50)
     dom = build_meeting(cfg)
     pol = _walk_to_midpoint(dom)
-    reveal = FactoredState(None, dom.encode((2, 0)), 2)
+    reveal = FactoredState(None, encode(dom, (2, 0)), 2)
     got = theta_c(dom.model, dom.model.initial_state, reveal, pol)
     assert got == pytest.approx(-2.0, abs=1e-12)
 
@@ -438,6 +441,34 @@ def test_comm_table_rejects_bad_parameters():
         comm_policy_table(10, 1.2, -0.1)
     with pytest.raises(ValueError, match="action cost"):
         comm_policy_table(10, 0.8, -0.1, action_cost=0.0)
+
+
+def test_exchange_time_table_is_built_once_per_arguments(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return distance_evolution(*args)
+
+    monkeypatch.setattr("commplan.myopic.distance_evolution", counted)
+    _exchange_times.cache_clear()
+    first = comm_policy_table(grid_size=6, p_u=0.45, comm_cost=-0.7)
+    assert built
+    calls = len(built)
+    # positional, keyword and default arguments name the same table
+    second = comm_policy_table(6, 0.45, -0.7, -1.0, 200)
+    assert len(built) == calls
+    assert second.times == first.times
+    comm_policy_table(6, 0.45, -0.7, time_cap=150)
+    assert len(built) > calls
+
+
+def test_exchange_time_tables_do_not_share_times():
+    first = comm_policy_table(10, 0.6, -1.0)
+    want = dict(first.times)
+    first.times[1] = 99
+    del first.times[18]
+    assert comm_policy_table(10, 0.6, -1.0).times == want
 
 
 def test_comm_policy_times_start_at_one():

@@ -60,6 +60,21 @@ def test_sim_config_requires_episodes():
         SimConfig(domain=None, strategy=None, episodes=0)
 
 
+def test_sim_config_checks_the_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(domain=None, strategy=None, seed=-1)
+    with pytest.raises(TypeError):
+        SimConfig(domain=None, strategy=None, seed=1.5)
+    cfg = SimConfig(domain=None, strategy=None, seed=np.int64(7))
+    assert type(cfg.seed) is int and cfg.seed == 7
+
+
+def test_sim_config_keeps_spawn_keys_in_one_word():
+    SimConfig(domain=None, strategy=None, episodes=2**32)
+    with pytest.raises(ValueError, match="episodes must be <= 2"):
+        SimConfig(domain=None, strategy=None, episodes=2**32 + 1)
+
+
 def test_move_walks_and_clamps():
     cfg = GridConfig(width=3, height=3, p1=1.0, p2=1.0, start2=(2, 2))
     assert grid_target((0, 0), step_toward((0, 0), (2, 0)), cfg) == (1, 0)

@@ -11,10 +11,18 @@ strategies, goal windows on candidates with several action rows included;
 and for tree-pair mechanisms on the toy models.  Batches of one episode,
 slices of one and seven episodes, and run_episode on the caller's
 generator must give the same episodes too.
+
+monte_carlo hashes the children's PCG64 seed words itself, a slice at a
+time (sim._child_words); those words must be numpy's, for seeds of one to
+five 32-bit words and at the slice starts the benchmark batches reach, and
+batches at a seed above 2**64 must still match the reference.  Those tests
+turn RuntimeWarning into an error, so numpy scalar overflow fails them.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import commplan.sim as sim
 import sim_reference as ref
@@ -39,6 +47,9 @@ from conftest import TOY_GRID, toy_model
 
 EPISODES = 40
 FEES = (-0.1, -1.0, -10.0)
+BIG_SEED = 2**64 + 5
+# first child of a slice: meeting (cap 200), production (T=10), toy (T=7)
+SLICE_STARTS = (0, 81, 1638, 2340)
 
 
 def meeting_strategies(p, fee):
@@ -183,3 +194,37 @@ def test_run_episode_is_a_batch_of_one_on_the_callers_generator(engine_cases):
         rng = np.random.Generator(np.random.PCG64(7))
         run_episode(domain, strategy, rng)
         assert rng.random() == np.random.Generator(np.random.PCG64(7)).random(width + 1)[-1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, BIG_SEED, 2**130 + 99])
+def test_child_words_are_the_spawned_childrens_seed_words(seed):
+    n = 50
+    children = np.random.SeedSequence(seed).spawn(SLICE_STARTS[-1] + n)
+    for start in SLICE_STARTS:
+        want = [c.generate_state(4, np.uint64) for c in children[start:start + n]]
+        got = sim._child_words(seed, start, n)
+        assert got.dtype == np.uint64 and got.shape == (n, 4)
+        assert np.array_equal(got, want), start
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**200), start=st.integers(0, 2**32 - 8), n=st.integers(1, 8))
+def test_child_words_match_numpy_for_drawn_seeds(seed, start, n):
+    # spawn(k + 1)[k] is SeedSequence(seed, spawn_key=(k,))
+    want = [np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)
+            for k in range(start, start + n)]
+    assert np.array_equal(sim._child_words(seed, start, n), want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_seed_batches_match_reference_across_slices(monkeypatch, engine_cases):
+    domain = build_meeting(GridConfig(p1=0.4, p2=0.4, comm_cost=-1.0))
+    table = comm_policy_table(p_u=0.4, comm_cost=-1.0)
+    # three slices of 81 episodes
+    assert_identical(domain, MyopicGreedy(table), episodes=200, seed=BIG_SEED)
+    for domain, strategy in engine_cases:
+        width = sim._engine(domain, strategy)[0]
+        monkeypatch.setattr(sim, "SLICE_BYTES", 7 * 8 * width)
+        assert_identical(domain, strategy, episodes=40, seed=BIG_SEED)
