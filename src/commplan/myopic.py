@@ -9,11 +9,17 @@ exchange-time table for each starting distance follows from an exact
 evolution of the remaining distances.  The generic theta_nc and theta_c on
 any joint model are test oracles (tests/oracles.py).
 
-Each exchange-time table is built once per process: comm_policy_table keeps
-the table's (distance, time) items per (grid_size, p_u, comm_cost,
-action_cost, time_cap), however the arguments are passed, and every call
-returns a new CommPolicy with its own times dict, so editing one result
-does not change the next.
+The walkers move independently, so the joint law of their remaining
+distances after t steps is the outer product of two one-walker laws b1_t
+and b2_t (absorbing chains that drop by one with probability p), and every
+score, for all times and separations at once, is read off them: the meeting
+mass b1_t[0]·b2_t[0] - b1_{t-1}[0]·b2_{t-1}[0], the continuation b1_t·H·b2_t
+(H[i, j] the no-exchange cost of the re-split separation i + j) and the
+alive mass, summed over the alive cells as b1[1:].sum()·b2.sum() +
+b1[0]·b2[1:].sum(): 1 - b1[0]·b2[0] would keep a rounding residue that a
+huge fee (-1e6) lifts over the 1e-12 margin.  Each table is built once per
+process, keyed by its five arguments however they are passed; every call
+returns a new CommPolicy with its own times dict.
 
 Units in this module are system time steps: every step while the goal is
 unmet costs 1, so a joint utility that charges each of the two agents per
@@ -22,9 +28,13 @@ step is twice these values, and an exchange cost C is C/2 here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass
@@ -87,34 +97,6 @@ def split_distance(d: int) -> Tuple[int, int]:
     return d // 2, d - d // 2
 
 
-def _decrement(r: int, p: float):
-    if r == 0:
-        return ((0, 1.0),)
-    if p >= 1.0:
-        return ((r - 1, 1.0),)
-    return ((r - 1, p), (r, 1.0 - p))
-
-
-def distance_evolution(d1: int, d2: int, p: float, steps: int):
-    """Evolve the pair of remaining distances for a number of steps.
-
-    Both agents walk toward a shared target; each step each remaining
-    distance drops by one with probability p, independently; (0, 0) absorbs
-    (the agents have met).  Yields (t, met_mass_at_t, alive_dict) per step.
-    """
-    alive = {(d1, d2): 1.0}
-    for t in range(1, steps + 1):
-        nxt: Dict[Tuple[int, int], float] = {}
-        for (r1, r2), mass in alive.items():
-            for n1, pr1 in _decrement(r1, p):
-                for n2, pr2 in _decrement(r2, p):
-                    key = (n1, n2)
-                    nxt[key] = nxt.get(key, 0.0) + mass * pr1 * pr2
-        met = nxt.pop((0, 0), 0.0)
-        alive = nxt
-        yield t, met, alive
-
-
 def comm_policy_table(
     grid_size: int = 10,
     p_u: float = 0.8,
@@ -137,35 +119,48 @@ def comm_policy_table(
     return CommPolicy(times=dict(times), grid_size=grid_size, p_u=p_u, comm_cost=comm_cost)
 
 
+def _distance_laws(r_max: int, p: float, steps: int) -> np.ndarray:
+    """laws[t, r0, r]: P(a walker r0 from its target is r from it after t steps)."""
+    laws = np.empty((steps + 1, r_max + 1, r_max + 1))
+    laws[0] = np.eye(r_max + 1)
+    for prev, nxt in zip(laws, laws[1:]):
+        nxt[:, 0] = prev[:, 0]
+        nxt[:, 1:] = (1.0 - p) * prev[:, 1:]
+        nxt[:, :-1] += p * prev[:, 1:]
+    return laws
+
+
 @lru_cache(maxsize=None)
 def _exchange_times(
     grid_size: int, p_u: float, comm_cost: float, action_cost: float, time_cap: int
 ) -> Tuple[Tuple[int, int], ...]:
     """comm_policy_table's (separation, exchange time) items, built once."""
-    if not (0.0 < p_u <= 1.0):
-        raise ValueError(f"success probability must be in (0, 1], got {p_u}")
-    if action_cost >= 0.0:
-        raise ValueError("action cost must be negative: it sets the time unit")
-    cost_per_step = 2.0 * -action_cost
-    comm_in_steps = comm_cost / cost_per_step
-    d_max = 2 * (grid_size - 1)
-    times: Dict[int, int] = {}
-    for d in range(1, d_max + 1):
-        d1, d2 = split_distance(d)
-        base = theta_nc_meeting(d1, d2, p_u, p_u)
-        met_cost = 0.0
-        for t, met, alive in distance_evolution(d1, d2, p_u, time_cap - 1):
-            met_cost += met * (-t)
-            alive_mass = sum(alive.values())
-            cont = sum(
-                mass * theta_nc_meeting(*split_distance(r1 + r2), p_u, p_u)
-                for (r1, r2), mass in alive.items()
-            )
-            value = met_cost - t * alive_mass + cont + comm_in_steps * alive_mass
-            if value > base + 1e-12:
-                times[d] = t + 1
-                break
-    return tuple(times.items())
+    if not 0.0 < p_u <= 1.0:
+        raise ValueError(f"success probability p_u must be in (0, 1], got {p_u}")
+    if not (math.isfinite(comm_cost) and comm_cost <= 0.0):
+        raise ValueError(f"comm_cost must be finite and <= 0, got {comm_cost}")
+    if not (math.isfinite(action_cost) and action_cost < 0.0):
+        raise ValueError(f"action cost action_cost must be finite and < 0, got {action_cost}")
+    for name, n in (("grid_size", grid_size), ("time_cap", time_cap)):
+        if not (isinstance(n, Integral) and n >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    comm_in_steps = comm_cost / (2.0 * -action_cost)
+    d_max, r = 2 * (grid_size - 1), np.arange(grid_size)
+    # h[s]: the no-exchange cost of separation s split at its midpoint
+    h = np.array([theta_nc_meeting(*split_distance(s), p_u, p_u) for s in range(d_max + 1)])
+    laws = _distance_laws(grid_size - 1, p_u, time_cap - 1)
+    arrived, rest = laws[..., 0], laws[..., 1:].sum(-1)
+    # pair[t, a, b]: the continuation cost at t of walkers that started a and b away
+    pair = np.einsum("taj,tbj->tab", np.einsum("tai,ij->taj", laws, h[np.add.outer(r, r)]), laws)
+    d1, d2 = split_distance(np.arange(1, d_max + 1))
+    t = np.arange(1, time_cap)[:, None]
+    met_cost = np.cumsum(np.diff(arrived[:, d1] * arrived[:, d2], axis=0) * -t, axis=0)
+    alive = (rest[:, d1] * laws.sum(-1)[:, d2] + arrived[:, d1] * rest[:, d2])[1:]
+    cont = pair[1:, d1, d2]
+    value = met_cost - t * alive + cont + comm_in_steps * alive
+    # row k scores t = k + 1; the entry is one past the earliest better t
+    better = value > h[1:] + 1e-12
+    return tuple((d, int(np.argmax(k)) + 2) for d, k in enumerate(better.T, 1) if k.any())
 
 
 def comm_table_csv(

@@ -21,7 +21,8 @@ remaining distance cannot help.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .domains import (
@@ -302,10 +303,6 @@ def compare_comm_table(table_id: str) -> TableReport:
 # meeting Monte-Carlo tables
 
 
-def _meeting_config(p: float, comm_cost: float) -> GridConfig:
-    return GridConfig(p1=p, p2=p, comm_cost=comm_cost)
-
-
 def _run(domain, strategy, episodes, seed) -> SimResult:
     return monte_carlo(SimConfig(domain=domain, strategy=strategy, episodes=episodes, seed=seed))
 
@@ -321,8 +318,16 @@ def best_subgoals(domain, episodes: int, seed: int, sweep=SUBGOAL_SWEEP) -> Tupl
 
 
 def meeting_batches(comm_cost: float, p: float, episodes: int, seed: int) -> Dict[str, object]:
-    """All strategy batches for one (success rate, exchange cost) cell."""
-    domain = build_meeting(_meeting_config(p, comm_cost))
+    """All strategy batches for one (success rate, exchange cost) cell,
+    simulated once per process: a fee's utility and exchange-count tables
+    share it.  Every call returns its own result objects."""
+    cell = _meeting_cell(comm_cost, p, episodes, seed)
+    return {k: replace(r) if isinstance(r, SimResult) else r for k, r in cell.items()}
+
+
+@lru_cache(maxsize=None)
+def _meeting_cell(comm_cost: float, p: float, episodes: int, seed: int) -> Dict[str, object]:
+    domain = build_meeting(GridConfig(p1=p, p2=p, comm_cost=comm_cost))
     table = comm_policy_table(p_u=p, comm_cost=comm_cost)
     out: Dict[str, object] = {
         "no_comm": _run(domain, NoCommunication(), episodes, seed),

@@ -19,6 +19,11 @@ the definitions live here and are checked against those kernels:
   myopic quantities on any joint model.  They check the closed-form meeting
   recursion and the exchange-time table in commplan.myopic.  They read time
   stamps from TimedState; a model state (a plain pair) is taken at time 0.
+- distance_evolution (with _decrement) and exchange_times_walk are the
+  exchange-time table as the library built it before each walker's
+  remaining distance got its own law: a dict walk over the joint pair of
+  remaining distances, scored separation by separation.
+  commplan.myopic._exchange_times must give the same table.
 - welch_ttest compares two Monte-Carlo batches from commplan.sim.
 - midpoint and step_toward are the meeting walk as positions: the walkers
   head x-leg first for the middle cell of a shortest path.  The grid
@@ -812,6 +817,65 @@ def theta_c(
         cont = theta_nc(m, joint, policies, _memo=memo)
         total += row[q] * (r + cont + m.comm_cost * flag)
     return total
+
+
+# ---------------------------------------------------------------------------
+# exchange-time tables as a walk over remaining-distance pairs
+
+
+def _decrement(r: int, p: float):
+    if r == 0:
+        return ((0, 1.0),)
+    if p >= 1.0:
+        return ((r - 1, 1.0),)
+    return ((r - 1, p), (r, 1.0 - p))
+
+
+def distance_evolution(d1: int, d2: int, p: float, steps: int):
+    """Evolve the pair of remaining distances for a number of steps.
+
+    Both agents walk toward a shared target; each step each remaining
+    distance drops by one with probability p, independently; (0, 0) absorbs
+    (the agents have met).  Yields (t, met_mass_at_t, alive_dict) per step.
+    """
+    alive = {(d1, d2): 1.0}
+    for t in range(1, steps + 1):
+        nxt: Dict[Tuple[int, int], float] = {}
+        for (r1, r2), mass in alive.items():
+            for n1, pr1 in _decrement(r1, p):
+                for n2, pr2 in _decrement(r2, p):
+                    key = (n1, n2)
+                    nxt[key] = nxt.get(key, 0.0) + mass * pr1 * pr2
+        met = nxt.pop((0, 0), 0.0)
+        alive = nxt
+        yield t, met, alive
+
+
+def exchange_times_walk(
+    grid_size: int, p_u: float, comm_cost: float, action_cost: float, time_cap: int
+) -> Dict[int, int]:
+    """commplan.myopic's exchange-time table by a walk over the joint law of
+    the two remaining distances, scored separation by separation."""
+    from commplan.myopic import split_distance, theta_nc_meeting
+
+    comm_in_steps = comm_cost / (2.0 * -action_cost)
+    times: Dict[int, int] = {}
+    for d in range(1, 2 * (grid_size - 1) + 1):
+        d1, d2 = split_distance(d)
+        base = theta_nc_meeting(d1, d2, p_u, p_u)
+        met_cost = 0.0
+        for t, met, alive in distance_evolution(d1, d2, p_u, time_cap - 1):
+            met_cost += met * (-t)
+            alive_mass = sum(alive.values())
+            cont = sum(
+                mass * theta_nc_meeting(*split_distance(r1 + r2), p_u, p_u)
+                for (r1, r2), mass in alive.items()
+            )
+            value = met_cost - t * alive_mass + cont + comm_in_steps * alive_mass
+            if value > base + 1e-12:
+                times[d] = t + 1
+                break
+    return times
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,13 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["simulate", "--strategy", "subgoals", "--subgoal-p", "0"],
         ["simulate", "--strategy", "no_comm", "--pu", "1.5"],
         ["simulate", "--strategy", "no_comm", "--seed", "-1"],
+        ["plan", "--algo", "myopic", "--comm-cost", "0.5"],
+        ["simulate", "--strategy", "myopic", "--comm-cost", "0.5"],
     ],
     ids=["model-file-repeated-key", "model-file-missing", "model-file-bare-key",
          "max-option-length-0", "lgo-positive-comm-cost", "plan-pu-0", "lgo-on-meeting",
-         "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5", "seed-negative"],
+         "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5", "seed-negative",
+         "myopic-plan-positive-comm-cost", "myopic-simulate-positive-comm-cost"],
 )
 def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")
@@ -270,6 +273,20 @@ def test_console_script_is_installed():
     proc = subprocess.run(argv + ["--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "plan" in proc.stdout and "simulate" in proc.stdout and "reproduce" in proc.stdout
+
+
+def test_import_loads_neither_numpy_random_nor_scipy():
+    # numpy.random loads only when a batch is simulated, and scipy is a test
+    # dependency; a fresh interpreter shows what importing the package pulls in
+    import commplan
+
+    env = dict(os.environ)
+    src = str(Path(commplan.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, commplan; print(sorted({'numpy.random', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_library_does_not_import_scipy():

@@ -6,6 +6,8 @@ probability P(Binom(t, p) >= d), so the expected meeting time is the sum over
 t of the survival probability of the slower walker.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,17 +17,18 @@ from commplan.domains import GridConfig, build_meeting
 from commplan.lgo import LocalGoalPolicy
 from commplan.myopic import (
     CommPolicy,
+    _distance_laws,
     _exchange_times,
     comm_policy_table,
     comm_table_csv,
-    distance_evolution,
     split_distance,
     theta_nc_meeting,
 )
+from commplan.tables import comm_table_values
 
 from conftest import toy_model
-from oracles import (FixedLocalPolicies, decode, encode, midpoint, pbar, rbar, step_toward,
-                     theta_c, theta_nc)
+from oracles import (FixedLocalPolicies, decode, distance_evolution, encode,
+                     exchange_times_walk, midpoint, pbar, rbar, step_toward, theta_c, theta_nc)
 from oracles import TimedState as FactoredState
 
 GO, WAIT = 0, 1
@@ -354,8 +357,8 @@ def test_exchange_value_validates_arguments():
 
 
 def test_free_exchange_after_one_step_never_hurts():
-    # scoring an immediate fee-free exchange with the same machinery the
-    # table builder uses must weakly beat staying silent at every distance
+    # scoring an immediate fee-free exchange over the joint remaining-distance
+    # walk must weakly beat staying silent at every distance
     for p in (0.2, 0.4, 0.6, 0.8):
         for d in range(1, 19):
             d1, d2 = split_distance(d)
@@ -400,8 +403,56 @@ def test_distance_evolution_finished_side_stays_done():
     assert steps[0][2] == {(0, 1): 0.5}
 
 
+def test_distance_laws_match_the_pair_walk():
+    # the joint law is the outer product of the two walkers' laws
+    laws = _distance_laws(3, 0.35, 6)
+    for t, met, alive in distance_evolution(2, 3, 0.35, 6):
+        joint = np.outer(laws[t, 2], laws[t, 3])
+        assert joint[0, 0] - np.outer(laws[t - 1, 2], laws[t - 1, 3])[0, 0] == pytest.approx(met)
+        for (r1, r2), mass in alive.items():
+            assert joint[r1, r2] == pytest.approx(mass, abs=1e-15)
+    assert np.allclose(laws.sum(-1), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # exchange-time tables
+
+
+# comm_table_values at fees -0.1, -1 and -10 (T5-T7), as the pair walk built them
+PINNED_ROWS = {
+    -0.1: {
+        0.2: (None, None, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3),
+        0.4: (None, None, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3),
+        0.6: (None, None, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3),
+        0.8: (None, None, 2, 3, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4),
+    },
+    -1.0: {
+        0.2: (None, None, 3, 6, 3, 6, 4, 7, 4, 7, 5, 7, 5, 8, 5, 8, 6, 9),
+        0.4: (None, None, None, None, 4, None, 4, 6, 5, 7, 5, 7, 6, 8, 6, 8, 7, 9),
+        0.6: (None,) * 8 + (6, None, 6, 8, 7, 9, 7, 9, 8, 10),
+        0.8: (None,) * 16 + (10, None),
+    },
+    -10.0: {p: (None,) * 18 for p in (0.2, 0.4, 0.6, 0.8)},
+}
+
+
+@pytest.mark.parametrize("fee", sorted(PINNED_ROWS))
+def test_recorded_fee_rows_are_pinned(fee):
+    assert comm_table_values(fee) == PINNED_ROWS[fee]
+
+
+# Below p of about 0.005 the scores reach d/p in size and the rule's absolute
+# 1e-12 margin is under their rounding, so at separations where an exchange
+# gains exactly nothing (a zero fee) both builders decide by rounding.
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=1.0)),
+    st.one_of(st.just(0.0), st.just(-1e6), st.floats(min_value=-1e6, max_value=0.0)),
+    st.integers(min_value=2, max_value=60),
+)
+def test_exchange_times_match_pair_walk(grid_size, p, fee, time_cap):
+    want = exchange_times_walk(grid_size, p, fee, -1.0, time_cap)
+    assert comm_policy_table(grid_size, p, fee, -1.0, time_cap).times == want
 
 
 def test_comm_times_anchor_cell():
@@ -443,24 +494,51 @@ def test_comm_table_rejects_bad_parameters():
         comm_policy_table(10, 0.8, -0.1, action_cost=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"action_cost": float("nan")}, "action_cost"),
+        ({"action_cost": -math.inf}, "action_cost"),
+        ({"comm_cost": float("nan")}, "comm_cost"),
+        ({"comm_cost": -math.inf}, "comm_cost"),
+        ({"comm_cost": 0.5}, "comm_cost"),
+        ({"p_u": float("nan")}, "p_u"),
+        ({"grid_size": 0}, "grid_size"),
+        ({"grid_size": -3}, "grid_size"),
+        ({"grid_size": 2.5}, "grid_size"),
+        ({"time_cap": 0}, "time_cap"),
+        ({"time_cap": 12.0}, "time_cap"),
+    ],
+    ids=["action-nan", "action-neg-inf", "comm-nan", "comm-neg-inf", "comm-positive",
+         "p-nan", "grid-0", "grid-negative", "grid-fraction", "cap-0", "cap-float"],
+)
+def test_comm_table_names_the_bad_argument(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        comm_policy_table(**kwargs)
+
+
+def test_one_cell_grid_has_no_separations():
+    assert comm_policy_table(grid_size=1).times == {}
+    assert comm_policy_table(grid_size=4, time_cap=1).times == {}
+
+
 def test_exchange_time_table_is_built_once_per_arguments(monkeypatch):
     built = []
 
     def counted(*args):
         built.append(args)
-        return distance_evolution(*args)
+        return _distance_laws(*args)
 
-    monkeypatch.setattr("commplan.myopic.distance_evolution", counted)
+    monkeypatch.setattr("commplan.myopic._distance_laws", counted)
     _exchange_times.cache_clear()
     first = comm_policy_table(grid_size=6, p_u=0.45, comm_cost=-0.7)
-    assert built
-    calls = len(built)
+    assert len(built) == 1
     # positional, keyword and default arguments name the same table
     second = comm_policy_table(6, 0.45, -0.7, -1.0, 200)
-    assert len(built) == calls
+    assert len(built) == 1
     assert second.times == first.times
     comm_policy_table(6, 0.45, -0.7, time_cap=150)
-    assert len(built) > calls
+    assert len(built) == 2
 
 
 def test_exchange_time_tables_do_not_share_times():

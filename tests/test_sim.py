@@ -28,6 +28,7 @@ from commplan.domains import (
 from commplan.lgo import lgo_msbpi
 from commplan.model import FactoredState
 from commplan.msbpi import msbpi
+from commplan import tables
 from commplan.myopic import comm_policy_table
 from commplan.sim import (
     SimConfig,
@@ -162,6 +163,30 @@ def test_same_seed_reproduces_batch_exactly():
     assert a.variance == b.variance
     assert a.mean_comm == b.mean_comm
     assert a.mean_steps == b.mean_steps
+
+
+def test_meeting_cell_is_simulated_once_and_copied_out(monkeypatch):
+    runs = []
+
+    def counted(cfg):
+        runs.append(cfg)
+        return monte_carlo(cfg)
+
+    def view(batches):
+        return {k: (r.mean_utility, r.mean_comm) if isinstance(r, SimResult) else r
+                for k, r in batches.items()}
+
+    monkeypatch.setattr(tables, "monte_carlo", counted)
+    tables._meeting_cell.cache_clear()
+    first = tables.meeting_batches(-0.7, 0.55, 30, 4)
+    want = view(first)
+    assert len(runs) == 3 + len(tables.SUBGOAL_SWEEP)
+    first["myopic"].mean_utility = 0.0
+    first["ideal"].mean_comm = -1.0
+    first["subgoals_p"] = None
+    second = tables.meeting_batches(-0.7, 0.55, 30, 4)
+    assert len(runs) == 3 + len(tables.SUBGOAL_SWEEP)
+    assert view(second) == want
 
 
 def test_single_episode_batch_matches_direct_run():
