@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -194,14 +194,13 @@ def build_production(
     T: int = 10,
     comm_cost: float = -0.1,
     action_cost: float = -1.0,
-    options: Sequence[ProductionOption] = DEFAULT_PRODUCTION_OPTIONS,
     initial: Tuple[int, int, int, int] = (0, 0, 0, 8),
 ) -> ProductionDomain:
     """The two-machine production scenario.
 
     initial holds the part counts machine 1 (b_a, b_b) and machine 2 (c_a,
     c_b) start with.  Each step each machine attempts one part of the type
-    its policy picks, succeeding with its own probability; both machines pay
+    its quota picks, succeeding with its own probability; both machines pay
     the action cost every step.  The terminal payoff (matched pairs across
     machines) enters the joint model as a potential array, potential[s1, s2]
     = min(b_a, c_a) + min(b_b, c_b), so no boundary term is needed.
@@ -224,13 +223,12 @@ def build_production(
         potential=np.minimum.outer(b_a, c_a) + np.minimum.outer(b_b, c_b),
         name="production",
     )
-    opts = [ProductionOption(o.x_a, o.x_b) if not isinstance(o, ProductionOption) else o for o in options]
     produced1 = b_a + b_b - (b_a0 + b_b0)
     produced2 = c_a + c_b - (c_a0 + c_b0)
     return ProductionDomain(
         model=model,
-        candidates1=[quota_policy(produced1, o) for o in opts],
-        candidates2=[quota_policy(produced2, o) for o in opts],
+        candidates1=[quota_policy(produced1, o) for o in DEFAULT_PRODUCTION_OPTIONS],
+        candidates2=[quota_policy(produced2, o) for o in DEFAULT_PRODUCTION_OPTIONS],
         made1=made1,
         made2=made2,
         p_m1=p_m1,
@@ -248,10 +246,6 @@ class JointPolicy:
     actions: np.ndarray
     value: np.ndarray
     n_actions2: int
-
-    def action_pair(self, s1: int, s2: int, t: int) -> Tuple[int, int]:
-        code = int(self.actions[t, s1, s2])
-        return code // self.n_actions2, code % self.n_actions2
 
 
 def _expected_extra(m: DecMdpCom) -> np.ndarray:

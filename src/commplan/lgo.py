@@ -19,8 +19,7 @@ The assignment table is three int arrays indexed [t, s1, s2]: the positions
 of the two agents' policies in their candidate lists, and the window length.
 Improvements are installed with boolean masks, and evaluation groups each
 time step's cells by a packed (k, g1, g2) code.  GoalAssignment objects are
-made only on request (LgoMechanism.assignment_at and the read-only
-LgoMechanism.assignment view).
+made only on lookup, by the read-only LgoMechanism.assignment view.
 """
 
 from __future__ import annotations
@@ -80,10 +79,9 @@ class LgoMechanism:
 
     The table is held as three int arrays of shape (T, n1, n2), indexed
     [t, s1, s2]: g1 and g2 are positions in candidates1 and candidates2, and
-    k is the window length.  assignment_at builds one GoalAssignment per
-    distinct (g1, g2, k) and hands the same object out again; `assignment` is
-    a read-only Mapping view (s1, s2, t) -> GoalAssignment over all T*n1*n2
-    cells, in (t, s1, s2) order.
+    k is the window length.  `assignment` is a read-only Mapping view
+    (s1, s2, t) -> GoalAssignment over all T*n1*n2 cells, in (t, s1, s2)
+    order; it builds a fresh GoalAssignment on each lookup.
 
     sweep_candidate_counts and candidates_considered are nominal: every
     (k, t) layer, (T-1)*T*n1*n2*|G1|*|G2| per sweep.  candidates_scored
@@ -101,20 +99,6 @@ class LgoMechanism:
     candidates_considered: int = 0
     sweep_candidate_counts: List[int] = field(default_factory=list)
     candidates_scored: int = 0
-    _made: Dict[Tuple[int, int, int], GoalAssignment] = field(
-        default_factory=dict, init=False, repr=False
-    )
-
-    def assignment_at(self, s1: int, s2: int, t: int) -> GoalAssignment:
-        T, n1, n2 = self.k.shape
-        if not (0 <= t < T and 0 <= s1 < n1 and 0 <= s2 < n2):
-            raise KeyError((s1, s2, t))
-        code = (self.g1.item(t, s1, s2), self.g2.item(t, s1, s2), self.k.item(t, s1, s2))
-        asg = self._made.get(code)
-        if asg is None:
-            asg = GoalAssignment(self.candidates1[code[0]], self.candidates2[code[1]], code[2])
-            self._made[code] = asg
-        return asg
 
     @property
     def assignment(self) -> Mapping[Tuple[int, int, int], GoalAssignment]:
@@ -128,11 +112,19 @@ class _AssignmentView(Mapping):
         self._mech = mech
 
     def __getitem__(self, key) -> GoalAssignment:
+        mech = self._mech
         try:
             s1, s2, t = key
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        return self._mech.assignment_at(s1, s2, t)
+        T, n1, n2 = mech.k.shape
+        if not (0 <= t < T and 0 <= s1 < n1 and 0 <= s2 < n2):
+            raise KeyError(key)
+        return GoalAssignment(
+            mech.candidates1[mech.g1.item(t, s1, s2)],
+            mech.candidates2[mech.g2.item(t, s1, s2)],
+            mech.k.item(t, s1, s2),
+        )
 
     def __iter__(self) -> Iterator[Tuple[int, int, int]]:
         T, n1, n2 = self._mech.k.shape
@@ -220,8 +212,11 @@ class _WindowCache:
     """Per-agent k-step propagators M and accumulated action-cost vectors c.
 
     For a window [t, t+k): M[s, s'] is the chance of ending at s' having
-    started at s, and c[s] the expected total action cost on the way.
-    Stationary policies share entries across t.
+    started at s, and c[s] the expected total action cost on the way.  The
+    k-step pieces extend the (k-1)-step ones by step t+k-1, and the 1-step
+    pieces extend the identity, so the same products run in the same order
+    whichever windows were asked for first.  Stationary policies share
+    entries across t.
     """
 
     def __init__(self, m: DecMdpCom):
@@ -234,15 +229,10 @@ class _WindowCache:
         key = (agent_idx, pol.label, t_key, k)
         if key in self.cache:
             return self.cache[key]
-        prev_key = (agent_idx, pol.label, t_key, k - 1)
-        if k > 1 and prev_key in self.cache:
-            M, c = self.cache[prev_key]
+        if k == 1:
+            M, c = np.eye(agent.n_states), np.zeros(agent.n_states)
         else:
-            M = np.eye(agent.n_states)
-            c = np.zeros(agent.n_states)
-            for j in range(k - 1):
-                c = c + M @ _step_cost_vector(agent, pol, t + j)
-                M = M @ _step_matrix(agent, pol, t + j)
+            M, c = self.pieces(agent_idx, pol, t, k - 1)
         step_t = t + k - 1
         c = c + M @ _step_cost_vector(agent, pol, step_t)
         M = M @ _step_matrix(agent, pol, step_t)

@@ -1,10 +1,10 @@
 """Multi-step backup policy iteration over pairs of policy trees.
 
-Depth-first branch-and-bound search per global state and time: start from all
-length-1 tree pairs, expand the live frontiers of promising pairs one level
-at a time, and keep the best pair whose every branch ends with an exchange or
-runs to the horizon.  Iterating evaluation and improvement sweeps converges
-to the best mechanism over unrestricted tree pairs.
+Depth-first branch-and-bound search per global state and time: expand the
+live frontiers of promising pairs one level at a time, the root's level
+like any other, and keep the best pair whose every branch ends with an
+exchange or runs to the horizon.  Iterating evaluation and improvement
+sweeps converges to the best mechanism over unrestricted tree pairs.
 
 A child pair differs from its parent only at the new deepest level, so each
 search node carries its pair's forward state before and after that level.
@@ -89,9 +89,6 @@ class GeneralMechanism:
     sweep_nodes: List[int] = field(default_factory=list)
     max_cell_nodes: int = 0
 
-    def pair_at(self, s1: int, s2: int, t: int) -> Tuple[PolicyTree, PolicyTree]:
-        return self.pairs[(s1, s2, t)]
-
 
 def immediate_comm_pairs(m: DecMdpCom) -> Dict[Tuple[int, int, int], Tuple[PolicyTree, PolicyTree]]:
     """Both agents communicate at once in every state at every time."""
@@ -105,7 +102,9 @@ def immediate_comm_pairs(m: DecMdpCom) -> Dict[Tuple[int, int, int], Tuple[Polic
     }
 
 
-def _evaluate_pairs(pairs, m: DecMdpCom) -> np.ndarray:
+def evaluate_policy(delta, m: DecMdpCom) -> np.ndarray:
+    """Backward-induction value table of a mechanism or pair table, V[T] = 0."""
+    pairs = delta.pairs if isinstance(delta, GeneralMechanism) else delta
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
     V = np.zeros((T + 1, n1, n2))
@@ -136,12 +135,6 @@ def _evaluate_immediate_comm(m: DecMdpCom) -> np.ndarray:
         charge = m.comm_cost if t + 1 < T else 0.0
         V[t] = frozen + charge + V[t + 1]
     return V
-
-
-def evaluate_policy(delta, m: DecMdpCom) -> np.ndarray:
-    """Backward-induction value table of a mechanism, V[T] = 0."""
-    pairs = delta.pairs if isinstance(delta, GeneralMechanism) else delta
-    return _evaluate_pairs(pairs, m)
 
 
 def _cap_with_comm(tree: PolicyTree, live) -> PolicyTree:
@@ -196,21 +189,21 @@ def improve_state(
         f = state_value(after, t, depth, V)
         return SearchNode(tree1, tree2, f, depth, before, after, live1, live2)
 
-    root = ForwardState({(s.s1, s.s2): [1.0, 0.0]}, 0.0, ())
     stack: List[SearchNode] = []
-    for a1 in list(range(m.agent1.n_actions)) + [COMMUNICATE]:
-        for a2 in list(range(m.agent2.n_actions)) + [COMMUNICATE]:
-            node = create(
-                PolicyTree(s.s1, {(s.s1, 0): a1}),
-                PolicyTree(s.s2, {(s.s2, 0): a2}),
-                1,
-                root,
-                {s.s1},
-                {s.s2},
-            )
-            if node.f > best:
-                stack.append(node)
 
+    def expand(tree1, tree2, size: int, after: ForwardState, fr1, fr2) -> None:
+        """Push every child filling level ``size`` of the frontiers that
+        beats the incumbent, in assignment order."""
+        for asg1 in _frontier_assignments(fr1, m.agent1.n_actions):
+            t1 = tree1.with_assignments({(q, size): a for q, a in asg1.items()})
+            for asg2 in _frontier_assignments(fr2, m.agent2.n_actions):
+                t2 = tree2.with_assignments({(q, size): a for q, a in asg2.items()})
+                child = create(t1, t2, size + 1, after, fr1, fr2)
+                if child.f > best:
+                    stack.append(child)
+
+    root = ForwardState({(s.s1, s.s2): [1.0, 0.0]}, 0.0, ())
+    expand(PolicyTree(s.s1), PolicyTree(s.s2), 0, root, {s.s1}, {s.s2})
     while stack:
         node = stack.pop()
         if node.f <= best:
@@ -234,24 +227,9 @@ def improve_state(
                 best = cnode.f
                 best_pair = capped
             continue
-        new_size = size + 1
-        if new_size > remaining:
+        if max_option_length is not None and size >= max_option_length:
             continue
-        if max_option_length is not None and new_size > max_option_length:
-            continue
-        children = []
-        for asg1 in _frontier_assignments(fr1, m.agent1.n_actions):
-            t1 = node.tree1.with_assignments(
-                {(q, size): a for q, a in asg1.items()}
-            )
-            for asg2 in _frontier_assignments(fr2, m.agent2.n_actions):
-                t2 = node.tree2.with_assignments(
-                    {(q, size): a for q, a in asg2.items()}
-                )
-                child = create(t1, t2, new_size, node.after, fr1, fr2)
-                if child.f > best:
-                    children.append(child)
-        stack.extend(children)
+        expand(node.tree1, node.tree2, size, node.after, fr1, fr2)
 
     if best_pair is None:
         return None
@@ -305,7 +283,7 @@ def msbpi(
         if pairs is None:
             pairs = immediate_comm_pairs(m)
         pairs.update(updates)
-        V = _evaluate_pairs(pairs, m)
+        V = evaluate_policy(pairs, m)
         iterations += 1
         history.append(
             {

@@ -36,6 +36,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+GRID_SIZE = 10  # the meeting grid's width and height
+
 
 @dataclass
 class CommPolicy:
@@ -83,6 +85,11 @@ def theta_nc_meeting(d1: int, d2: int, p1: float, p2: float = None) -> float:
     if d1 == 0:
         return -d2 / p2
     q1, q2 = 1.0 - p1, 1.0 - p2
+    if 1.0 - q1 * q2 == 0.0:
+        raise ValueError(
+            f"success probabilities p1={p1!r} and p2={p2!r} are too small: the"
+            " chance that either walker advances, 1 - (1 - p1)(1 - p2), rounds to 0"
+        )
     num = (
         p1 * p2 * theta_nc_meeting(d1 - 1, d2 - 1, p1, p2)
         + p1 * q2 * theta_nc_meeting(d1 - 1, d2, p1, p2)
@@ -98,7 +105,7 @@ def split_distance(d: int) -> Tuple[int, int]:
 
 
 def comm_policy_table(
-    grid_size: int = 10,
+    grid_size: int = GRID_SIZE,
     p_u: float = 0.8,
     comm_cost: float = -0.1,
     action_cost: float = -1.0,
@@ -164,17 +171,16 @@ def _exchange_times(
 
 
 def comm_table_csv(
-    grid_size: int = 10,
     comm_cost: float = -0.1,
     p_values=(0.2, 0.4, 0.6, 0.8),
     action_cost: float = -1.0,
 ) -> str:
     """Rows per success probability, columns per starting distance."""
-    d_max = 2 * (grid_size - 1)
+    d_max = 2 * (GRID_SIZE - 1)
     header = "p_u," + ",".join(str(d) for d in range(1, d_max + 1))
     lines = [header]
     for p in p_values:
-        pol = comm_policy_table(grid_size, p, comm_cost, action_cost)
+        pol = comm_policy_table(GRID_SIZE, p, comm_cost, action_cost)
         cells = [
             str(pol.times[d]) if d in pol.times else "never"
             for d in range(1, d_max + 1)

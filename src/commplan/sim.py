@@ -388,7 +388,7 @@ def _trees(model: DecMdpCom, mech: GeneralMechanism):
         s1, s2 = model.initial_state.s1, model.initial_state.s2
         utility, comm, t = 0.0, 0, 0
         while t < T:
-            tree1, tree2 = mech.pair_at(s1, s2, t)
+            tree1, tree2 = mech.pairs[s1, s2, t]
             depth = 0
             while t < T:
                 a1 = tree1.action_at(s1, depth)

@@ -42,6 +42,7 @@ from .sim import SimConfig, SimResult, monte_carlo
 PRODUCTION_ROWS: Tuple[Tuple[float, float], ...] = ((0.2, 0.2), (0.2, 0.8), (0.8, 0.8))
 MEETING_P: Tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
 GRID_DISTANCES = tuple(range(1, 19))
+IDEAL_TOL, LGO_TOL = 0.6, 1.0
 
 EXPECTED: Dict[str, dict] = {
     "T1": {
@@ -228,11 +229,11 @@ def _check(report, label, expected, actual, tol):
 # production tables (deterministic planning values)
 
 
-def production_values(comm_cost: float, rows=PRODUCTION_ROWS) -> Dict[Tuple[float, float], Dict[str, float]]:
+def production_values(comm_cost: float) -> Dict[Tuple[float, float], Dict[str, float]]:
     """Planned utilities per success-rate pair: full-information baseline,
     its per-step-charged variant, and the goal-assignment mechanism."""
     out = {}
-    for p1, p2 in rows:
+    for p1, p2 in PRODUCTION_ROWS:
         domain = build_production(p1, p2, comm_cost=comm_cost)
         s0 = domain.model.initial_state
         ideal = float(domain.joint_policy.value[s0.s1, s0.s2])
@@ -243,7 +244,7 @@ def production_values(comm_cost: float, rows=PRODUCTION_ROWS) -> Dict[Tuple[floa
     return out
 
 
-def compare_production_table(table_id: str, ideal_tol: float = 0.6, lgo_tol: float = 1.0) -> TableReport:
+def compare_production_table(table_id: str) -> TableReport:
     spec = expected_table(table_id)
     if spec["kind"] != "production":
         raise ValueError(f"{table_id} is not a production table")
@@ -252,9 +253,9 @@ def compare_production_table(table_id: str, ideal_tol: float = 0.6, lgo_tol: flo
     for key, row in spec["rows"].items():
         got = ours[key]
         tag = f"p=({key[0]:g},{key[1]:g})"
-        _check(report, f"{tag} ideal", row["ideal"], got["ideal"], ideal_tol)
-        _check(report, f"{tag} always", row["always"], got["always"], ideal_tol)
-        _check(report, f"{tag} lgo", row["lgo"], got["lgo"], lgo_tol)
+        _check(report, f"{tag} ideal", row["ideal"], got["ideal"], IDEAL_TOL)
+        _check(report, f"{tag} always", row["always"], got["always"], IDEAL_TOL)
+        _check(report, f"{tag} lgo", row["lgo"], got["lgo"], LGO_TOL)
     return report
 
 
@@ -262,10 +263,10 @@ def compare_production_table(table_id: str, ideal_tol: float = 0.6, lgo_tol: flo
 # exchange-time tables (deterministic integer cells)
 
 
-def comm_table_values(comm_cost: float, grid_size: int = 10, p_values=MEETING_P) -> Dict[float, Tuple[Optional[int], ...]]:
+def comm_table_values(comm_cost: float) -> Dict[float, Tuple[Optional[int], ...]]:
     out = {}
-    for p in p_values:
-        policy = comm_policy_table(grid_size=grid_size, p_u=p, comm_cost=comm_cost)
+    for p in MEETING_P:
+        policy = comm_policy_table(p_u=p, comm_cost=comm_cost)
         out[p] = tuple(policy.times.get(d) for d in GRID_DISTANCES)
     return out
 
@@ -307,10 +308,10 @@ def _run(domain, strategy, episodes, seed) -> SimResult:
     return monte_carlo(SimConfig(domain=domain, strategy=strategy, episodes=episodes, seed=seed))
 
 
-def best_subgoals(domain, episodes: int, seed: int, sweep=SUBGOAL_SWEEP) -> Tuple[float, SimResult]:
+def best_subgoals(domain, episodes: int, seed: int) -> Tuple[float, SimResult]:
     """Highest mean utility over the sub-goal radius sweep (ties to smaller p)."""
     best_p, best = None, None
-    for p in sweep:
+    for p in SUBGOAL_SWEEP:
         r = _run(domain, SubGoals(p), episodes, seed)
         if best is None or r.mean_utility > best.mean_utility + 1e-12:
             best_p, best = p, r

@@ -45,9 +45,6 @@ class ReferenceMechanism:
     candidates_considered: int = 0
     sweep_candidate_counts: List[int] = field(default_factory=list)
 
-    def assignment_at(self, s1: int, s2: int, t: int) -> GoalAssignment:
-        return self.assignment[(s1, s2, t)]
-
 
 def key(asg: GoalAssignment) -> Tuple[str, str, int]:
     return (asg.g1.label, asg.g2.label, asg.k)

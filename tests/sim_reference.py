@@ -160,7 +160,7 @@ def _run_production(domain: ProductionDomain, strategy, rng):
         for t in range(T):
             s1 = encode1(*b)
             s2 = encode2(*c)
-            a1, a2 = pol.action_pair(s1, s2, t)
+            a1, a2 = divmod(int(pol.actions[t, s1, s2]), pol.n_actions2)
             utility += 2.0 * cost
             bump(b, caps1, a1, domain.p_m1)
             bump(c, caps2, a2, domain.p_m2)
@@ -173,7 +173,7 @@ def _run_production(domain: ProductionDomain, strategy, rng):
         while t < T:
             s1 = encode1(*b)
             s2 = encode2(*c)
-            asg = strategy.assignment_at(s1, s2, t)
+            asg = strategy.assignment[(s1, s2, t)]
             for j in range(asg.k):
                 a1 = asg.g1.action_at(encode1(*b), t + j)
                 a2 = asg.g2.action_at(encode2(*c), t + j)
@@ -204,7 +204,9 @@ def _run_mechanism_model(model: DecMdpCom, mech, rng):
     An exchange landing exactly on the horizon is not charged (nothing is
     left to replan).
     """
-    pair_at = mech.pair_at if isinstance(mech, GeneralMechanism) else mech
+    pair_at = mech
+    if isinstance(mech, GeneralMechanism):
+        pair_at = lambda s1, s2, t: mech.pairs[(s1, s2, t)]  # noqa: E731
     s1, s2 = model.initial_state.s1, model.initial_state.s2
     T = model.horizon
     utility, comm, t = 0.0, 0, 0

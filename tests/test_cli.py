@@ -157,11 +157,14 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["simulate", "--strategy", "no_comm", "--seed", "-1"],
         ["plan", "--algo", "myopic", "--comm-cost", "0.5"],
         ["simulate", "--strategy", "myopic", "--comm-cost", "0.5"],
+        ["plan", "--algo", "myopic", "--pu", "1e-17"],
+        ["simulate", "--strategy", "myopic", "--pu", "1e-17"],
     ],
     ids=["model-file-repeated-key", "model-file-missing", "model-file-bare-key",
          "max-option-length-0", "lgo-positive-comm-cost", "plan-pu-0", "lgo-on-meeting",
          "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5", "seed-negative",
-         "myopic-plan-positive-comm-cost", "myopic-simulate-positive-comm-cost"],
+         "myopic-plan-positive-comm-cost", "myopic-simulate-positive-comm-cost",
+         "myopic-plan-pu-1e-17", "myopic-simulate-pu-1e-17"],
 )
 def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")

@@ -177,7 +177,7 @@ def test_joint_policy_decodes_action_pairs():
     pol = JointPolicy(
         actions=np.array([[[3]]]), value=np.zeros((1, 1)), n_actions2=2
     )
-    assert pol.action_pair(0, 0, 0) == (1, 1)
+    assert divmod(int(pol.actions[0, 0, 0]), pol.n_actions2) == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +201,7 @@ def test_joint_optimum_deterministic_production():
     assert pol.value[s1, s2] == pytest.approx(-10.0, abs=1e-9)
     # the greedy rollout of the planned actions attains the bound
     for t in range(dom.horizon):
-        a1, a2 = pol.action_pair(s1, s2, t)
+        a1, a2 = divmod(int(pol.actions[t, s1, s2]), pol.n_actions2)
         s1 = int(np.argmax(dom.model.agent1.transition[s1, a1]))
         s2 = int(np.argmax(dom.model.agent2.transition[s2, a2]))
     assert dom.model.potential[s1, s2] == 10

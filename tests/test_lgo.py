@@ -15,6 +15,7 @@ from commplan.lgo import (
     GoalAssignment,
     LgoMechanism,
     LocalGoalPolicy,
+    _WindowCache,
     default_candidates,
     evaluate_lgo,
     lgo_msbpi,
@@ -223,6 +224,34 @@ def test_rng_two_step_window():
     # step one moves both for -1 each, step two holds free no-ops, then -1
     got = rng(asg, m, FactoredState(0, 0), 0, FactoredState(1, 1), 2)
     assert got == pytest.approx(-3.0)
+
+
+def window_cases():
+    """(model, [(agent index, policy), ...]): every toy with every pool
+    policy on both sides, and production at T=4 with its quotas."""
+    cases = [
+        (toy_model(**params), [(i, pol) for i in (1, 2) for pol in POLICY_POOL])
+        for params in TOY_GRID
+    ]
+    dom = build_production(0.8, 0.8, T=4, comm_cost=-0.1)
+    quotas = [(1, pol) for pol in dom.candidates1] + [(2, pol) for pol in dom.candidates2]
+    return cases + [(dom.model, quotas)]
+
+
+@pytest.mark.parametrize(
+    "m, policies", window_cases(), ids=[f"toy{i}" for i in range(len(TOY_GRID))] + ["production"]
+)
+def test_window_pieces_do_not_depend_on_build_order(m, policies):
+    # a (t, k) window asked for first must equal one built for k = 1, 2, ...
+    T = m.horizon
+    for agent_idx, pol in policies:
+        for t in range(T):
+            in_order = _WindowCache(m)
+            for k in range(1, T - t + 1):
+                M, c = in_order.pieces(agent_idx, pol, t, k)
+                M_direct, c_direct = _WindowCache(m).pieces(agent_idx, pol, t, k)
+                assert np.array_equal(M_direct, M), (pol.label, t, k)
+                assert np.array_equal(c_direct, c), (pol.label, t, k)
 
 
 def test_rng_rejects_bad_windows():
@@ -558,8 +587,14 @@ def test_assignment_view_is_read_only_and_complete():
     view = mech.assignment
     assert len(view) == m.horizon * 2 * 2
     assert list(view)[:3] == [(0, 0, 0), (0, 1, 0), (1, 0, 0)]
-    assert view[(1, 0, 2)] is mech.assignment_at(1, 0, 2)
     assert (0, 0, m.horizon) not in view and (-1, 0, 0) not in view
+    for bad in [(0, 0), 0]:
+        with pytest.raises(KeyError):
+            view[bad]
+    for (s1, s2, t), asg in view.items():
+        assert asg.g1 is mech.candidates1[mech.g1[t, s1, s2]]
+        assert asg.g2 is mech.candidates2[mech.g2[t, s1, s2]]
+        assert asg.k == mech.k[t, s1, s2]
     with pytest.raises(TypeError):
         view[(0, 0, 0)] = GoalAssignment(GO_POL, GO_POL, 1)
 

@@ -40,8 +40,8 @@ def assert_identical(mech, want, m):
     for t in range(m.horizon):
         for s1 in range(m.agent1.n_states):
             for s2 in range(m.agent2.n_states):
-                got = mech.assignment_at(s1, s2, t)
-                exp = want.assignment_at(s1, s2, t)
+                got = mech.assignment[(s1, s2, t)]
+                exp = want.assignment[(s1, s2, t)]
                 assert ref.key(got) == ref.key(exp), (s1, s2, t)
     assert mechanism_csv(mech) == ref.mechanism_csv(want)
 

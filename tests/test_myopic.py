@@ -558,7 +558,7 @@ def test_comm_policy_times_start_at_one():
 
 
 def test_comm_table_csv_layout():
-    text = comm_table_csv(grid_size=10, comm_cost=-0.1)
+    text = comm_table_csv(comm_cost=-0.1)
     lines = text.strip().split("\n")
     assert lines[0] == "p_u," + ",".join(str(d) for d in range(1, 19))
     assert len(lines) == 5
