@@ -24,6 +24,7 @@ made only on lookup, by the read-only LgoMechanism.assignment view.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -114,7 +115,7 @@ class _AssignmentView(Mapping):
     def __getitem__(self, key) -> GoalAssignment:
         mech = self._mech
         try:
-            s1, s2, t = key
+            s1, s2, t = map(operator.index, key)
         except (TypeError, ValueError):
             raise KeyError(key) from None
         T, n1, n2 = mech.k.shape
@@ -299,7 +300,8 @@ def _layer_scores(
     Yields (i1, i2, cells, F) in that order, F[s1, s2] being the value at t of
     assigning (cand1[i1], cand2[i2], k) in (s1, s2) with V[t + k] beyond the
     window.  Only V[t + k] is read, so the caller may update V[t] between
-    yields.
+    yields.  Without an extra reward F is one buffer that the next yield
+    overwrites: read it before asking for the next.
 
     Without an extra reward every state is scored at once.  Expected action
     costs accumulate per agent; the state-based reward telescopes through the
@@ -309,16 +311,23 @@ def _layer_scores(
     g2 paired with one g1.  With an extra reward only the requested cells
     are scored, each by forward propagation.
     """
+    n1, n2 = m.agent1.n_states, m.agent2.n_states
     if m.extra_reward is None:
         W = phi + V[t + k]
+        A, P, F = np.empty((n1, n2)), np.empty((n1, n2)), np.empty((n1, n2))
         for i1, row in rows:
             M1, c1 = cache.pieces(1, cand1[i1], t, k)
-            A = M1 @ W
+            np.matmul(M1, W, out=A)
             for i2, cells in row:
                 M2, c2 = cache.pieces(2, cand2[i2], t, k)
-                yield i1, i2, cells, c1[:, None] + c2[None, :] - phi + m.comm_cost + A @ M2.T
+                # c1 + c2 - phi + comm_cost + A @ M2.T, summed left to right
+                np.add(c1[:, None], c2[None, :], out=F)
+                np.subtract(F, phi, out=F)
+                np.add(F, m.comm_cost, out=F)
+                np.matmul(A, M2.T, out=P)
+                F += P
+                yield i1, i2, cells, F
         return
-    n1, n2 = m.agent1.n_states, m.agent2.n_states
     succ1, succ2 = _Successors(m.agent1), _Successors(m.agent2)
     for i1, row in rows:
         for i2, cells in row:

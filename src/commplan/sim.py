@@ -36,19 +36,25 @@ with the same uniform.
 Batched stepping.  An episode draws at most `width` uniforms: 2 *
 horizon_cap on the meeting grid, 2 * T in production and on policy trees.
 monte_carlo draws them ahead, in one call per episode, from a Generator on
-the episode's own child of SeedSequence(seed), into one C-ordered (rows,
-width) float64 buffer of at most SLICE_BYTES, one row per episode; the
-batch runs a slice of `rows` episodes at a time and reuses the buffer, so
-memory does not grow with the batch (81 episodes a slice on the meeting grid
-at the default cap of 200 steps).  The children are not spawned: for each
-slice, _child_words runs SeedSequence's entropy mixing and generate_state
-once, on uint32 arrays with one lane per child, and PCG64 is seeded from
-each child's four words.  The hash constants evolve the same way whatever
-the data, so every lane does what numpy does for that child, and the
-streams are the ones spawn(episodes) gives.  Each episode reads its row
-through a cursor that advances only where a draw is listed above.  Meeting
-and production episodes of a slice step together in numpy; policy-tree
-episodes walk their trees one at a time.
+the episode's own child of SeedSequence(seed), into a float64 buffer of at
+most SLICE_BYTES, one row per episode, and keeps only each draw's code, what
+the engine reads of it: a meeting draw is one uint8 (bit 0 is u < p1, bit 1
+u < p2; the cursor decides which agent reads it), a production draw one
+bool (u < p_m1 in even columns, u < p_m2 in odd ones), and a policy-tree
+draw the uniform itself, which bisect_right needs.  The batch runs a slice
+of `rows` episodes at a time from a C-ordered (rows, width) code array of
+at most SLICE_BYTES, reusing both arrays, so memory does not grow with the
+batch: 655 meeting episodes a slice at the default cap of 200 steps, 13,107
+production episodes at T=10, 2,340 policy-tree episodes at T=7.  The
+children are not spawned: for each slice, _child_words runs SeedSequence's
+entropy mixing and generate_state once, on uint32 arrays with one lane per
+child, and PCG64 is seeded from each child's four words.  The hash
+constants evolve the same way whatever the data, so every lane does what
+numpy does for that child, and the streams are the ones spawn(episodes)
+gives.  Each episode reads its row of codes through a cursor that advances
+only where a draw is listed above.  Meeting and production episodes of a
+slice step together in numpy; policy-tree episodes walk their trees one at
+a time.
 
 The meeting walk needs no positions.  Between exchanges each walker follows
 a shortest path to the midpoint, which lies on a shortest path between the
@@ -90,7 +96,9 @@ from .msbpi import GeneralMechanism
 from .myopic import split_distance
 from .options import COMMUNICATE
 
-# Size of the draw-ahead buffer: a slice is as many episodes as fit in it.
+# Size of the draw-ahead buffers: a slice is as many episodes as fit in it
+# as draw codes (one byte a draw, eight on policy trees), a block of
+# uniforms as many as fit as float64.
 SLICE_BYTES = 256 * 1024
 
 
@@ -214,7 +222,7 @@ def _words_type():
 
 
 def _meeting(cfg: GridConfig, strategy):
-    """Draw width and slice runner of a meeting strategy."""
+    """Draw width, draw encoder and slice runner of a meeting strategy."""
     cap = cfg.horizon_cap
     d0 = manhattan(cfg.start1, cfg.start2)
     separations = range(d0 + 1)
@@ -235,15 +243,20 @@ def _meeting(cfg: GridConfig, strategy):
     fee = 0.0 if isinstance(strategy, Ideal) else cfg.comm_cost
     per_step = 2.0 * cfg.action_cost
 
-    def run(U: np.ndarray):
-        n, width = U.shape
+    def encode(U: np.ndarray) -> np.ndarray:
+        codes = (U < cfg.p2).view(np.uint8) << 1
+        codes |= U < cfg.p1
+        return codes
+
+    def run(C: np.ndarray):
+        n, width = C.shape
         utility = np.zeros(n)
         steps = np.zeros(n, dtype=np.int64)
         comm = np.zeros(n, dtype=np.int64)
         capped = np.zeros(n, dtype=bool)
         if d0 == 0:
             return utility, steps, comm, capped
-        draws = U.reshape(-1)
+        draws = C.reshape(-1)
         # one column per live episode; rows are views named below
         live = np.zeros((7, n), dtype=np.int64)
         live[0] = np.arange(n)
@@ -271,10 +284,10 @@ def _meeting(cfg: GridConfig, strategy):
                     exchange(ex)
                 wait -= 1
             need = left1 > 0
-            moved1 = need & (draws[cur] < cfg.p1)
+            moved1 = need & (draws[cur] & 1).view(bool)
             cur += need
             need = left2 > 0
-            moved2 = need & (draws[cur] < cfg.p2)
+            moved2 = need & (draws[cur] >> 1).view(bool)
             cur += need
             left1 -= moved1
             left2 -= moved2
@@ -302,11 +315,11 @@ def _meeting(cfg: GridConfig, strategy):
         capped[ep] = True
         return utility, steps, comm, capped
 
-    return 2 * cap, run
+    return 2 * cap, encode, run
 
 
 def _production(domain: ProductionDomain, strategy):
-    """Draw width and slice runner of a production strategy."""
+    """Draw width, draw encoder and slice runner of a production strategy."""
     T = domain.horizon
     lgo = isinstance(strategy, LgoMechanism)
     if lgo:
@@ -321,9 +334,13 @@ def _production(domain: ProductionDomain, strategy):
     start = domain.model.initial_state
     # the potential is the sellable-products count of a state
     products = domain.model.potential
+    chance = np.tile([domain.p_m1, domain.p_m2], T)
 
-    def run(U: np.ndarray):
-        n = len(U)
+    def encode(U: np.ndarray) -> np.ndarray:
+        return U < chance
+
+    def run(C: np.ndarray):
+        n = len(C)
         s1, s2 = np.full(n, start.s1), np.full(n, start.s2)
         utility = np.zeros(n)
         comm = np.zeros(n, dtype=np.int64)
@@ -345,14 +362,14 @@ def _production(domain: ProductionDomain, strategy):
                 end += 1
                 a1, a2 = np.divmod(joint.actions[t, s1, s2], joint.n_actions2)
             utility += step_cost
-            s1 = np.where(U[:, 2 * t] < domain.p_m1, domain.made1[s1, a1], s1)
-            s2 = np.where(U[:, 2 * t + 1] < domain.p_m2, domain.made2[s2, a2], s2)
+            s1 = np.where(C[:, 2 * t], domain.made1[s1, a1], s1)
+            s2 = np.where(C[:, 2 * t + 1], domain.made2[s2, a2], s2)
         utility += fee
         comm += 1
         utility += products[s1, s2]
         return utility, np.full(n, T), comm, np.zeros(n, dtype=bool)
 
-    return 2 * T, run
+    return 2 * T, encode, run
 
 
 def _action_table(candidates, T: int) -> np.ndarray:
@@ -369,8 +386,8 @@ def _cdf_rows(agent: AgentModel) -> list:
 
 
 def _trees(model: DecMdpCom, mech: GeneralMechanism):
-    """Draw width and slice runner of a policy-tree mechanism on any joint
-    model, in model units.
+    """Draw width, draw encoder and slice runner of a policy-tree mechanism
+    on any joint model, in model units.
 
     Trees run until their first communication act; the communicating agent
     freezes for that step while the other's domain action still executes;
@@ -415,13 +432,16 @@ def _trees(model: DecMdpCom, mech: GeneralMechanism):
         utility, steps, comm = (np.array(col) for col in zip(*runs))
         return utility, steps, comm, np.zeros(len(U), dtype=bool)
 
-    return 2 * T, run
+    return 2 * T, lambda U: U, run
 
 
 def _engine(domain, strategy):
-    """(width, run): the most uniforms one episode draws, and a function that
-    runs one episode per row of an (n, width) uniform array and returns
-    per-episode utility, steps, exchanges and capped flags."""
+    """(width, encode, run): the most uniforms one episode draws; a function
+    that maps an (n, width) uniform array to the draw codes the engine reads
+    (uint8 outcome bits on the meeting grid, bool outcomes in production,
+    the uniforms themselves on policy trees); and a function that runs one
+    episode per row of an (n, width) code array and returns per-episode
+    utility, steps, exchanges and capped flags."""
     if isinstance(domain, MeetingDomain):
         return _meeting(domain.config, strategy)
     if isinstance(domain, ProductionDomain):
@@ -440,12 +460,13 @@ def run_episode(domain, strategy, rng):
     exchanges, capped).
 
     It is a batch of one: the episode's whole draw-ahead buffer (as many
-    uniforms as monte_carlo draws per episode) comes from `rng` first.  The
-    episode is the one the draw rules give on that stream, but `rng` ends
-    past every uniform of the buffer, also those the episode did not use.
+    uniforms as monte_carlo draws per episode) comes from `rng` first and is
+    encoded as monte_carlo encodes it.  The episode is the one the draw rules
+    give on that stream, but `rng` ends past every uniform of the buffer,
+    also those the episode did not use.
     """
-    width, run = _engine(domain, strategy)
-    utility, steps, comm, capped = run(rng.random((1, width)))
+    width, encode, run = _engine(domain, strategy)
+    utility, steps, comm, capped = run(encode(rng.random((1, width))))
     return float(utility[0]), int(steps[0]), int(comm[0]), bool(capped[0])
 
 
@@ -457,20 +478,27 @@ def monte_carlo(cfg: SimConfig) -> SimResult:
     stream of spawn(episodes)[i]; the children's PCG64 seed words are hashed
     a slice at a time.
     """
-    width, run = _engine(cfg.domain, cfg.strategy)
+    width, encode, run = _engine(cfg.domain, cfg.strategy)
     words_seed = _words_type()
     utilities = np.empty(cfg.episodes)
     steps = np.empty(cfg.episodes)
     comms = np.empty(cfg.episodes)
     capped = 0
-    rows = max(1, SLICE_BYTES // (8 * width))
-    buffer = np.empty((min(rows, cfg.episodes), width))
+    block = max(1, SLICE_BYTES // (8 * width))
+    buffer = np.empty((min(block, cfg.episodes), width))
+    code_type = encode(buffer[:0]).dtype
+    rows = max(1, SLICE_BYTES // (code_type.itemsize * width))
+    codes = np.empty((min(rows, cfg.episodes), width), dtype=code_type)
     for start in range(0, cfg.episodes, rows):
-        U = buffer[: min(rows, cfg.episodes - start)]
-        for words, row in zip(_child_words(cfg.seed, start, len(U)), U):
-            np.random.Generator(np.random.PCG64(words_seed(words))).random(out=row)
-        got = slice(start, start + len(U))
-        utilities[got], steps[got], comms[got], cut = run(U)
+        C = codes[: min(rows, cfg.episodes - start)]
+        words = _child_words(cfg.seed, start, len(C))
+        for first in range(0, len(C), block):
+            U = buffer[: min(block, len(C) - first)]
+            for w, row in zip(words[first:], U):
+                np.random.Generator(np.random.PCG64(words_seed(w))).random(out=row)
+            C[first:first + len(U)] = encode(U)
+        got = slice(start, start + len(C))
+        utilities[got], steps[got], comms[got], cut = run(C)
         capped += int(cut.sum())
     log: Optional[List[Tuple[float, int, int]]] = None
     if cfg.log_episodes:

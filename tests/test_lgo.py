@@ -588,9 +588,10 @@ def test_assignment_view_is_read_only_and_complete():
     assert len(view) == m.horizon * 2 * 2
     assert list(view)[:3] == [(0, 0, 0), (0, 1, 0), (1, 0, 0)]
     assert (0, 0, m.horizon) not in view and (-1, 0, 0) not in view
-    for bad in [(0, 0), 0]:
+    for bad in [(0, 0), 0, (0.5, 0, 0), ("a", 0, 0), (0, 0, 1.0), "abc"]:
         with pytest.raises(KeyError):
             view[bad]
+        assert bad not in view
     for (s1, s2, t), asg in view.items():
         assert asg.g1 is mech.candidates1[mech.g1[t, s1, s2]]
         assert asg.g2 is mech.candidates2[mech.g2[t, s1, s2]]

@@ -38,6 +38,8 @@ from commplan.sim import (
     run_episode,
 )
 
+import commplan.sim as sim
+import sim_reference as ref
 from conftest import toy_model
 from oracles import step_toward, welch_ttest
 
@@ -52,8 +54,8 @@ class _Uniforms:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        return np.full(size, self.u)
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 def test_sim_config_requires_episodes():
@@ -89,6 +91,24 @@ def test_move_walks_and_clamps():
                                    start2=(2, 2), horizon_cap=3))
     assert run_episode(dom, NoCommunication(), _Uniforms(0.5)) == (-6.0, 3, 0, True)
     assert run_episode(dom, NoCommunication(), _Uniforms(0.49)) == (-4.0, 2, 0, False)
+
+
+def test_a_draw_equal_to_the_success_chance_fails_as_in_the_reference():
+    # the two agents' chances differ, so one uniform fails one agent's step
+    # and not the other's
+    meeting = build_meeting(GridConfig(width=5, height=5, p1=0.4, p2=0.7,
+                                       start2=(4, 4), horizon_cap=12))
+    production = build_production(0.4, 0.7, T=4, comm_cost=-1.0)
+    lgo = lgo_msbpi(production.model, production.candidates1, production.candidates2)
+    cases = [(meeting, s) for s in (NoCommunication(), AlwaysCommunicate(), SubGoals(0.5))]
+    cases += [(production, Ideal()), (production, lgo)]
+    for domain, strategy in cases:
+        width, encode, _ = sim._engine(domain, strategy)
+        assert encode(np.zeros((1, width))).nbytes == width  # one byte a draw
+        for u in (0.4, 0.7):
+            got = run_episode(domain, strategy, _Uniforms(u))
+            want, steps, comm, traj = ref.run_episode(domain, strategy, _Uniforms(u))
+            assert repr(got) == repr((want, steps, comm, traj["capped"])), (strategy, u)
 
 
 def test_deterministic_meeting_walk():

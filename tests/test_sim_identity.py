@@ -48,8 +48,10 @@ from conftest import TOY_GRID, toy_model
 EPISODES = 40
 FEES = (-0.1, -1.0, -10.0)
 BIG_SEED = 2**64 + 5
-# first child of a slice: meeting (cap 200), production (T=10), toy (T=7)
-SLICE_STARTS = (0, 81, 1638, 2340)
+# first child of a second slice: 655 on the meeting grid (cap 200), 13107 in
+# production (T=10), 2340 on the toy (T=7); 81 and 1638 start the second
+# block of uniforms inside a meeting and a production slice
+SLICE_STARTS = (0, 81, 655, 1638, 2340, 13107)
 
 
 def meeting_strategies(p, fee):
@@ -162,11 +164,16 @@ def engine_cases():
     ]
 
 
+def slice_bytes(domain, strategy, rows):
+    """SLICE_BYTES that makes a slice of `rows` episodes."""
+    width, encode, _ = sim._engine(domain, strategy)
+    return rows * encode(np.zeros((1, width))).itemsize * width
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_slice_boundaries_do_not_change_episodes(rows, monkeypatch, engine_cases):
     for domain, strategy in engine_cases:
-        width = sim._engine(domain, strategy)[0]
-        monkeypatch.setattr(sim, "SLICE_BYTES", rows * 8 * width)
+        monkeypatch.setattr(sim, "SLICE_BYTES", slice_bytes(domain, strategy, rows))
         assert_identical(domain, strategy, episodes=40)
 
 
@@ -222,9 +229,9 @@ def test_child_words_match_numpy_for_drawn_seeds(seed, start, n):
 def test_large_seed_batches_match_reference_across_slices(monkeypatch, engine_cases):
     domain = build_meeting(GridConfig(p1=0.4, p2=0.4, comm_cost=-1.0))
     table = comm_policy_table(p_u=0.4, comm_cost=-1.0)
-    # three slices of 81 episodes
-    assert_identical(domain, MyopicGreedy(table), episodes=200, seed=BIG_SEED)
+    # three slices, the last one short
+    rows = sim.SLICE_BYTES // slice_bytes(domain, MyopicGreedy(table), 1)
+    assert_identical(domain, MyopicGreedy(table), episodes=2 * rows + 45, seed=BIG_SEED)
     for domain, strategy in engine_cases:
-        width = sim._engine(domain, strategy)[0]
-        monkeypatch.setattr(sim, "SLICE_BYTES", 7 * 8 * width)
+        monkeypatch.setattr(sim, "SLICE_BYTES", slice_bytes(domain, strategy, 7))
         assert_identical(domain, strategy, episodes=40, seed=BIG_SEED)
