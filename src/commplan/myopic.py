@@ -17,9 +17,12 @@ mass b1_t[0]·b2_t[0] - b1_{t-1}[0]·b2_{t-1}[0], the continuation b1_t·H·b2_t
 (H[i, j] the no-exchange cost of the re-split separation i + j) and the
 alive mass, summed over the alive cells as b1[1:].sum()·b2.sum() +
 b1[0]·b2[1:].sum(): 1 - b1[0]·b2[0] would keep a rounding residue that a
-huge fee (-1e6) lifts over the 1e-12 margin.  Each table is built once per
-process, keyed by its five arguments however they are passed; every call
-returns a new CommPolicy with its own times dict.
+huge fee (-1e6) lifts over the 1e-12 margin.  Only the alive mass's share
+of the score depends on the fee, so the rest is scored once per grid, rate
+and time cap, and a table at another fee costs one multiply-add and one
+comparison.  Each table is built once per process, keyed by its five
+arguments however they are passed; every call returns a new CommPolicy
+with its own times dict.
 
 Units in this module are system time steps: every step while the goal is
 unmet costs 1, so a joint utility that charges each of the two agents per
@@ -152,8 +155,25 @@ def _exchange_times(
         if not (isinstance(n, Integral) and n >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     comm_in_steps = comm_cost / (2.0 * -action_cost)
+    h, silent, alive = _exchange_scores(grid_size, p_u, time_cap)
+    value = silent + comm_in_steps * alive
+    # row k scores t = k + 1; the entry is one past the earliest better t
+    better = value > h[1:] + 1e-12
+    return tuple((d, int(np.argmax(k)) + 2) for d, k in enumerate(better.T, 1) if k.any())
+
+
+@lru_cache(maxsize=None)
+def _exchange_scores(
+    grid_size: int, p_u: float, time_cap: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fee-free parts of _exchange_times's scores, built once per rate.
+
+    Returns read-only (h, silent, alive): h[s] the no-exchange cost of
+    separation s split at its midpoint, and for an exchange at t = k + 1
+    after separation d = j + 1, silent[k, j] the score without the fee and
+    alive[k, j] the mass that pays it.
+    """
     d_max, r = 2 * (grid_size - 1), np.arange(grid_size)
-    # h[s]: the no-exchange cost of separation s split at its midpoint
     h = np.array([theta_nc_meeting(*split_distance(s), p_u, p_u) for s in range(d_max + 1)])
     laws = _distance_laws(grid_size - 1, p_u, time_cap - 1)
     arrived, rest = laws[..., 0], laws[..., 1:].sum(-1)
@@ -164,10 +184,10 @@ def _exchange_times(
     met_cost = np.cumsum(np.diff(arrived[:, d1] * arrived[:, d2], axis=0) * -t, axis=0)
     alive = (rest[:, d1] * laws.sum(-1)[:, d2] + arrived[:, d1] * rest[:, d2])[1:]
     cont = pair[1:, d1, d2]
-    value = met_cost - t * alive + cont + comm_in_steps * alive
-    # row k scores t = k + 1; the entry is one past the earliest better t
-    better = value > h[1:] + 1e-12
-    return tuple((d, int(np.argmax(k)) + 2) for d, k in enumerate(better.T, 1) if k.any())
+    silent = met_cost - t * alive + cont
+    for a in (h, silent, alive):
+        a.flags.writeable = False
+    return h, silent, alive
 
 
 def comm_table_csv(

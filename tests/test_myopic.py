@@ -18,6 +18,7 @@ from commplan.lgo import LocalGoalPolicy
 from commplan.myopic import (
     CommPolicy,
     _distance_laws,
+    _exchange_scores,
     _exchange_times,
     comm_policy_table,
     comm_table_csv,
@@ -143,6 +144,7 @@ def test_meeting_time_work_scales_with_grid_area():
     for g in (4, 6, 8, 10):
         theta_nc_meeting.cache_clear()
         _exchange_times.cache_clear()
+        _exchange_scores.cache_clear()
         comm_policy_table(grid_size=g, p_u=0.6, comm_cost=-0.1)
         assert theta_nc_meeting.cache_info().misses <= g * g
     theta_nc_meeting.cache_clear()
@@ -531,6 +533,7 @@ def test_exchange_time_table_is_built_once_per_arguments(monkeypatch):
 
     monkeypatch.setattr("commplan.myopic._distance_laws", counted)
     _exchange_times.cache_clear()
+    _exchange_scores.cache_clear()
     first = comm_policy_table(grid_size=6, p_u=0.45, comm_cost=-0.7)
     assert len(built) == 1
     # positional, keyword and default arguments name the same table
@@ -539,6 +542,11 @@ def test_exchange_time_table_is_built_once_per_arguments(monkeypatch):
     assert second.times == first.times
     comm_policy_table(6, 0.45, -0.7, time_cap=150)
     assert len(built) == 2
+    # another fee or action cost reuses the rate's fee-free scores
+    comm_policy_table(6, 0.45, -3.0)
+    comm_policy_table(6, 0.45, -0.7, -2.0)
+    assert len(built) == 2
+    assert _exchange_times.cache_info().misses == 4
 
 
 def test_exchange_time_tables_do_not_share_times():
