@@ -35,8 +35,8 @@ from .tables import TABLE_IDS, reproduce
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 LGO_NEEDS_PRODUCTION = (
-    "lgo plans over candidate local goals, which only the production domain"
-    " defines; use --domain production"
+    "lgo plans over candidate local goals, which the production domain and"
+    " model files define; use --domain production"
 )
 
 
@@ -63,7 +63,8 @@ def _build_domain(args: argparse.Namespace):
 
 
 def _planning_setup(args: argparse.Namespace):
-    """Model plus candidate local policies (production only) for planners."""
+    """Model plus candidate local policies for planners: the production
+    domain's quotas, else None (lgo then solves for the model's goals)."""
     if args.model_file:
         m = parse_model(Path(args.model_file).read_text())
         return m, None, None
@@ -84,7 +85,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     m, cand1, cand2 = _planning_setup(args)
     s1, s2 = m.initial_state.s1, m.initial_state.s2
     if args.algo == "lgo":
-        if cand1 is None or cand2 is None:
+        if cand1 is None and not args.model_file:
             raise ValueError(LGO_NEEDS_PRODUCTION)
         mech = lgo_msbpi(m, cand1, cand2)
         print(f"value at initial state: {float(mech.value[0, s1, s2])!r}")

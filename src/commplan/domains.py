@@ -145,7 +145,7 @@ def _machine_model(
 
 
 def quota_policy(produced: np.ndarray, option: ProductionOption) -> LocalGoalPolicy:
-    """Stationary policy following a cyclic quota.
+    """One-row policy following a cyclic quota.
 
     produced[s] is the number of parts made since the initial state; the
     position inside the cycle is that number modulo the cycle length, so
@@ -155,8 +155,6 @@ def quota_policy(produced: np.ndarray, option: ProductionOption) -> LocalGoalPol
     return LocalGoalPolicy(
         label=f"quota_{option.x_a}_{option.x_b}",
         actions=np.where(pos < option.x_a, MAKE_A, MAKE_B)[None, :],
-        stationary=True,
-        goal=None,
     )
 
 

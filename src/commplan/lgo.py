@@ -41,21 +41,18 @@ class LocalGoalPolicy:
     """A per-agent policy the mechanism can assign, identified by its label.
 
     actions[t, s] is the action taken in local state s at absolute time t;
-    stationary policies store one row and behave identically at all times.
-    goal is the target local state for goal-directed policies, None for
-    policies defined some other way (e.g. fixed production quotas).
+    times past the last row use the last row, so a one-row policy acts the
+    same at every time.
     """
 
     label: str
     actions: np.ndarray
-    stationary: bool = False
-    goal: Optional[int] = None
     value: Optional[np.ndarray] = None
 
     def row_at(self, t):
         """Row of actions used at time t, for a scalar or an array of times:
-        row 0 when stationary, else t clamped to the last row."""
-        return np.minimum(t, 0 if self.stationary else self.actions.shape[0] - 1)
+        t clamped to the last row."""
+        return np.minimum(t, self.actions.shape[0] - 1)
 
     def action_at(self, s: int, t: int) -> int:
         return int(self.actions[self.row_at(t), s])
@@ -138,10 +135,9 @@ class _AssignmentView(Mapping):
         return self._mech.k.size
 
 
-def solve_local_mdp(
-    agent: AgentModel, goal: int, T: int, action_cost=None
-) -> LocalGoalPolicy:
-    """Finite-horizon backward induction toward one local goal.
+def solve_local_mdp(agent: AgentModel, goal: int, T: int) -> LocalGoalPolicy:
+    """Finite-horizon backward induction toward one local goal, charging the
+    agent's own action costs.
 
     Being at the goal costs nothing: the agent holds its no-op there until
     the next exchange.  If some states cannot reach the goal at all, the
@@ -154,11 +150,7 @@ def solve_local_mdp(
             "goal-directed behavior needs one to hold the goal at zero cost"
         )
     n = agent.n_states
-    costs = np.zeros(agent.n_actions)
-    if action_cost is not None:
-        costs = np.asarray(
-            [action_cost[a] for a in range(agent.n_actions)], dtype=float
-        )
+    costs = np.zeros(agent.n_actions) if agent.action_cost is None else agent.action_cost
     V = np.zeros((T + 1, n))
     acts = np.zeros((T, n), dtype=int)
     for t in range(T - 1, -1, -1):
@@ -167,21 +159,13 @@ def solve_local_mdp(
         V[t] = q[np.arange(n), acts[t]]
         V[t, goal] = 0.0
         acts[t, goal] = agent.noop
-    stationary = bool(np.all(acts == acts[0]))
 
-    reachable = {goal}
-    frontier = {goal}
-    support = [
-        {s for s in range(n) if (agent.transition[s, :, q] > 0.0).any()}
-        for q in range(n)
-    ]
-    while frontier:
-        nxt = set()
-        for q in frontier:
-            nxt |= support[q] - reachable
-        reachable |= nxt
-        frontier = nxt
-    stranded = n - len(reachable)
+    # states that reach the goal: a fixed point over the one-step support
+    step = (agent.transition > 0.0).any(axis=1)
+    reach = np.arange(n) == goal
+    while (grown := reach | step[:, reach].any(axis=1)).sum() > reach.sum():
+        reach = grown
+    stranded = n - int(reach.sum())
     if stranded:
         warnings.warn(
             f"goal state {goal}: {stranded} states cannot reach it; "
@@ -190,9 +174,7 @@ def solve_local_mdp(
         )
     return LocalGoalPolicy(
         label=f"goal_{agent.state_label(goal)}",
-        actions=acts[:1] if stationary else acts,
-        stationary=stationary,
-        goal=goal,
+        actions=acts[:1] if (acts == acts[0]).all() else acts,
         value=V,
     )
 
@@ -216,8 +198,8 @@ class _WindowCache:
     started at s, and c[s] the expected total action cost on the way.  The
     k-step pieces extend the (k-1)-step ones by step t+k-1, and the 1-step
     pieces extend the identity, so the same products run in the same order
-    whichever windows were asked for first.  Stationary policies share
-    entries across t.
+    whichever windows were asked for first.  One-row policies share entries
+    across t.
     """
 
     def __init__(self, m: DecMdpCom):
@@ -226,8 +208,7 @@ class _WindowCache:
 
     def pieces(self, agent_idx: int, pol: LocalGoalPolicy, t: int, k: int):
         agent = self.m.agent1 if agent_idx == 1 else self.m.agent2
-        t_key = 0 if pol.stationary else t
-        key = (agent_idx, pol.label, t_key, k)
+        key = (agent_idx, pol.label, t if len(pol.actions) > 1 else 0, k)
         if key in self.cache:
             return self.cache[key]
         if k == 1:
@@ -389,10 +370,7 @@ def _by_label(pols: Sequence[LocalGoalPolicy], agent: int) -> Dict[str, LocalGoa
             continue
         seen.add(id(pol))
         first = out.setdefault(pol.label, pol)
-        if first is not pol and not (
-            first.stationary == pol.stationary
-            and np.array_equal(first.actions, pol.actions)
-        ):
+        if first is not pol and not np.array_equal(first.actions, pol.actions):
             raise ValueError(
                 f"agent {agent} has two different policies labelled {pol.label!r}; "
                 "candidate labels must identify their policies"
@@ -430,10 +408,7 @@ def evaluate_lgo(mech: LgoMechanism, m: DecMdpCom) -> np.ndarray:
 
 
 def default_candidates(agent: AgentModel, T: int) -> List[LocalGoalPolicy]:
-    return [
-        solve_local_mdp(agent, g, T, agent.action_cost)
-        for g in agent.goal_candidates
-    ]
+    return [solve_local_mdp(agent, g, T) for g in agent.goal_candidates]
 
 
 def lgo_msbpi(

@@ -76,7 +76,12 @@ class AgentModel:
             )
         if self.action_cost is not None:
             bad = np.flatnonzero(~np.isfinite(self.action_cost))
-            if len(bad):
+            if self.action_cost.shape != (self.n_actions,):
+                out.append(
+                    f"{self.name}: action cost shape {self.action_cost.shape} "
+                    f"does not match {self.n_actions} actions"
+                )
+            elif len(bad):
                 out.append(f"{self.name}: non-finite cost for action {self.actions[bad[0]]}")
         if np.any(self.transition < -1e-12) or np.any(self.transition > 1.0 + 1e-12):
             bad = np.argwhere((self.transition < -1e-12) | (self.transition > 1.0 + 1e-12))

@@ -20,9 +20,8 @@ b1[0]·b2[1:].sum(): 1 - b1[0]·b2[0] would keep a rounding residue that a
 huge fee (-1e6) lifts over the 1e-12 margin.  Only the alive mass's share
 of the score depends on the fee, so the rest is scored once per grid, rate
 and time cap, and a table at another fee costs one multiply-add and one
-comparison.  Each table is built once per process, keyed by its five
-arguments however they are passed; every call returns a new CommPolicy
-with its own times dict.
+comparison, so tables are not memoised: every call builds a new
+CommPolicy with its own times dict.
 
 Units in this module are system time steps: every step while the goal is
 unmet costs 1, so a joint utility that charges each of the two agents per
@@ -125,26 +124,6 @@ def comm_policy_table(
     entry is one past the earliest t that strictly beats never exchanging;
     no such t under the cap means no entry.
     """
-    times = _exchange_times(grid_size, p_u, comm_cost, action_cost, time_cap)
-    return CommPolicy(times=dict(times), grid_size=grid_size, p_u=p_u, comm_cost=comm_cost)
-
-
-def _distance_laws(r_max: int, p: float, steps: int) -> np.ndarray:
-    """laws[t, r0, r]: P(a walker r0 from its target is r from it after t steps)."""
-    laws = np.empty((steps + 1, r_max + 1, r_max + 1))
-    laws[0] = np.eye(r_max + 1)
-    for prev, nxt in zip(laws, laws[1:]):
-        nxt[:, 0] = prev[:, 0]
-        nxt[:, 1:] = (1.0 - p) * prev[:, 1:]
-        nxt[:, :-1] += p * prev[:, 1:]
-    return laws
-
-
-@lru_cache(maxsize=None)
-def _exchange_times(
-    grid_size: int, p_u: float, comm_cost: float, action_cost: float, time_cap: int
-) -> Tuple[Tuple[int, int], ...]:
-    """comm_policy_table's (separation, exchange time) items, built once."""
     if not 0.0 < p_u <= 1.0:
         raise ValueError(f"success probability p_u must be in (0, 1], got {p_u}")
     if not (math.isfinite(comm_cost) and comm_cost <= 0.0):
@@ -159,14 +138,26 @@ def _exchange_times(
     value = silent + comm_in_steps * alive
     # row k scores t = k + 1; the entry is one past the earliest better t
     better = value > h[1:] + 1e-12
-    return tuple((d, int(np.argmax(k)) + 2) for d, k in enumerate(better.T, 1) if k.any())
+    times = {d: int(np.argmax(k)) + 2 for d, k in enumerate(better.T, 1) if k.any()}
+    return CommPolicy(times=times, grid_size=grid_size, p_u=p_u, comm_cost=comm_cost)
+
+
+def _distance_laws(r_max: int, p: float, steps: int) -> np.ndarray:
+    """laws[t, r0, r]: P(a walker r0 from its target is r from it after t steps)."""
+    laws = np.empty((steps + 1, r_max + 1, r_max + 1))
+    laws[0] = np.eye(r_max + 1)
+    for prev, nxt in zip(laws, laws[1:]):
+        nxt[:, 0] = prev[:, 0]
+        nxt[:, 1:] = (1.0 - p) * prev[:, 1:]
+        nxt[:, :-1] += p * prev[:, 1:]
+    return laws
 
 
 @lru_cache(maxsize=None)
 def _exchange_scores(
     grid_size: int, p_u: float, time_cap: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fee-free parts of _exchange_times's scores, built once per rate.
+    """The fee-free parts of comm_policy_table's scores, built once per rate.
 
     Returns read-only (h, silent, alive): h[s] the no-exchange cost of
     separation s split at its midpoint, and for an exchange at t = k + 1

@@ -445,8 +445,6 @@ def _engine(domain, strategy):
     if isinstance(domain, MeetingDomain):
         return _meeting(domain.config, strategy)
     if isinstance(domain, ProductionDomain):
-        if isinstance(strategy, GeneralMechanism):
-            return _trees(domain.model, strategy)
         return _production(domain, strategy)
     if isinstance(domain, DecMdpCom):
         if not isinstance(strategy, GeneralMechanism):

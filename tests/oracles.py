@@ -23,7 +23,7 @@ the definitions live here and are checked against those kernels:
   exchange-time table as the library built it before each walker's
   remaining distance got its own law: a dict walk over the joint pair of
   remaining distances, scored separation by separation.
-  commplan.myopic._exchange_times must give the same table.
+  commplan.myopic.comm_policy_table must give the same table.
 - welch_ttest compares two Monte-Carlo batches from commplan.sim.
 - midpoint and step_toward are the meeting walk as positions: the walkers
   head x-leg first for the middle cell of a shortest path.  The grid

@@ -134,6 +134,19 @@ def test_plan_lgo_writes_mechanism_csv(capsys, tmp_path):
     assert len(text.splitlines()) > 1
 
 
+def test_plan_lgo_on_the_readme_model_file(capsys, tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("model example\n")
+    path = tmp_path / "example.model"
+    path.write_text(readme[start:readme.index("```", start)])
+    rc, out, err = run_cli(capsys, ["plan", "--algo", "lgo", "--model-file", str(path)])
+    assert rc == EXIT_OK
+    assert err == ""
+    lines = out.splitlines()
+    assert "value at initial state: -2.0" in lines
+    assert "s1,s2,t,g1,g2,k,V" in lines
+
+
 def test_plan_lgo_needs_candidate_goals(capsys):
     rc, _, err = run_cli(capsys, ["plan", "--algo", "lgo", "--domain", "meeting"])
     assert rc == EXIT_USAGE
@@ -146,6 +159,8 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/twice.model"],
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/missing.model"],
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/bare.model"],
+        ["plan", "--algo", "lgo", "--model-file", "{tmp}/no-goals.model"],
+        ["plan", "--algo", "lgo", "--model-file", "{tmp}/no-noop.model"],
         ["plan", "--algo", "msbpi", "--max-option-length", "0"],
         ["plan", "--algo", "lgo", "--domain", "production", "--comm-cost", "5"],
         ["plan", "--algo", "msbpi", "--pu", "0"],
@@ -161,6 +176,7 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["simulate", "--strategy", "myopic", "--pu", "1e-17"],
     ],
     ids=["model-file-repeated-key", "model-file-missing", "model-file-bare-key",
+         "lgo-model-file-no-goals", "lgo-model-file-no-noop",
          "max-option-length-0", "lgo-positive-comm-cost", "plan-pu-0", "lgo-on-meeting",
          "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5", "seed-negative",
          "myopic-plan-positive-comm-cost", "myopic-simulate-positive-comm-cost",
@@ -169,6 +185,8 @@ def test_plan_lgo_needs_candidate_goals(capsys):
 def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")
     (tmp_path / "bare.model").write_text("horizon\n")
+    (tmp_path / "no-goals.model").write_text(TINY_MODEL.replace("  goals s1\n", ""))
+    (tmp_path / "no-noop.model").write_text(TINY_MODEL.replace("  noop stay\n", ""))
     rc, _, err = run_cli(capsys, [a.format(tmp=tmp_path) for a in argv])
     assert rc == EXIT_USAGE
     assert err.startswith("error:") and err.count("\n") == 1

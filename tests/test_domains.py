@@ -164,7 +164,7 @@ def test_production_builder_matches_loop_builder(p1, p2, initial, T):
     assert all(type(s) is int for s in (m.initial_state.s1, m.initial_state.s2))
     for pols, rows in ((dom.candidates1, want["quotas1"]), (dom.candidates2, want["quotas2"])):
         assert [pol.label for pol in pols] == [f"quota_{a}_{b}" for a, b in quotas]
-        assert all(pol.stationary for pol in pols)
+        assert all(len(pol.actions) == 1 for pol in pols)
         for pol, row in zip(pols, rows):
             assert same(pol.actions, row)
 

@@ -6,6 +6,8 @@ dense-potential path and the general-reward path), and the solved
 mechanism against Monte-Carlo execution of its own assignments.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -34,16 +36,12 @@ GO, WAIT = 0, 1
 
 
 def stationary(label, a_at_0, a_at_1):
-    return LocalGoalPolicy(
-        label=label, actions=np.array([[a_at_0, a_at_1]]), stationary=True
-    )
+    return LocalGoalPolicy(label=label, actions=np.array([[a_at_0, a_at_1]]))
 
 
 GO_POL = stationary("march", GO, WAIT)
 WAIT_POL = stationary("idle", WAIT, WAIT)
-LATE_POL = LocalGoalPolicy(
-    label="late", actions=np.array([[WAIT, WAIT], [GO, WAIT]]), stationary=False
-)
+LATE_POL = LocalGoalPolicy(label="late", actions=np.array([[WAIT, WAIT], [GO, WAIT]]))
 POLICY_POOL = [GO_POL, WAIT_POL, LATE_POL]
 
 
@@ -73,11 +71,8 @@ def test_policy_row_selection():
     assert LATE_POL.action_at(0, 0) == WAIT
     assert LATE_POL.action_at(0, 1) == GO
     assert LATE_POL.action_at(0, 99) == GO  # rows clamp at the last one
-    assert GO_POL.action_at(0, 99) == GO  # stationary ignores time
-    # a stationary policy reads row 0 even when it holds more rows
-    two_rows = LocalGoalPolicy("two", np.array([[GO, WAIT], [WAIT, GO]]), stationary=True)
-    assert two_rows.action_at(0, 1) == GO
-    assert np.array_equal(two_rows.row_at(np.arange(4)), [0, 0, 0, 0])
+    assert GO_POL.action_at(0, 99) == GO  # one row serves every time
+    assert np.array_equal(GO_POL.row_at(np.arange(4)), [0, 0, 0, 0])
     assert np.array_equal(LATE_POL.row_at(np.arange(4)), [0, 1, 1, 1])
 
 
@@ -88,13 +83,12 @@ def test_solve_local_needs_noop():
     agent = chain_agent()
     agent.noop = None
     with pytest.raises(ValueError):
-        solve_local_mdp(agent, 1, 3, agent.action_cost)
+        solve_local_mdp(agent, 1, 3)
 
 
 def test_solve_local_at_goal_is_free_noop():
     agent = chain_agent(p=0.7)
-    pol = solve_local_mdp(agent, 1, 4, agent.action_cost)
-    assert pol.goal == 1
+    pol = solve_local_mdp(agent, 1, 4)
     for t in range(4):
         assert pol.action_at(1, t) == agent.noop
     assert np.all(pol.value[:, 1] == 0.0)
@@ -103,7 +97,7 @@ def test_solve_local_at_goal_is_free_noop():
 def test_solve_local_geometric_value():
     # expected cost of retrying a half-chance unit-cost move: about -2
     agent = chain_agent(p=0.5, cost_go=-1.0, cost_wait=-0.2)
-    pol = solve_local_mdp(agent, 1, 30, agent.action_cost)
+    pol = solve_local_mdp(agent, 1, 30)
     assert pol.value[0, 0] == pytest.approx(-2.0, abs=0.01)
 
 
@@ -112,8 +106,9 @@ def test_solve_local_walks_shortest_grid_path():
 
     cfg = GridConfig(width=5, height=5, p1=1.0, p2=1.0, start2=(4, 4))
     agent = build_meeting(cfg).model.agent1
+    agent.action_cost = np.array([-1.0, -1, -1, -1, -1])
     goal = 2 * 5 + 1  # cell (2, 1): Manhattan distance 3 from (0, 0)
-    pol = solve_local_mdp(agent, goal, 6, np.array([-1.0, -1, -1, -1, -1]))
+    pol = solve_local_mdp(agent, goal, 6)
     assert pol.value[0, 0] == pytest.approx(-3.0)
     s = 0
     for t in range(3):
@@ -126,15 +121,45 @@ def test_solve_local_walks_shortest_grid_path():
 def test_solve_local_warns_when_goal_unreachable():
     agent = blocked_agent()
     with pytest.warns(UserWarning, match="cannot reach"):
-        pol = solve_local_mdp(agent, 1, 3, agent.action_cost)
+        pol = solve_local_mdp(agent, 1, 3)
     assert pol.action_at(1, 0) == agent.noop  # still defined everywhere
+
+
+def stranded_by_search(agent, goal):
+    """States with no path to goal, by a graph search backwards from it."""
+    reached, frontier = {goal}, [goal]
+    while frontier:
+        q = frontier.pop()
+        for s in range(agent.n_states):
+            if s not in reached and (agent.transition[s, :, q] > 0.0).any():
+                reached.add(s)
+                frontier.append(s)
+    return agent.n_states - len(reached)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stranded_count_matches_a_search(seed):
+    draw = np.random.default_rng(seed)
+    n, n_actions = int(draw.integers(2, 8)), int(draw.integers(1, 4))
+    tr = draw.random((n, n_actions, n)) * (draw.random((n, n_actions, n)) < 0.25)
+    tr[..., 0] += tr.sum(axis=2) == 0.0  # an empty row moves to state 0
+    tr /= tr.sum(axis=2, keepdims=True)
+    agent = AgentModel(n_states=n, actions=tuple(range(n_actions)), transition=tr, noop=0)
+    for goal in range(n):
+        want = stranded_by_search(agent, goal)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_local_mdp(agent, goal, 2)
+        assert [str(w.message) for w in caught] == (
+            [f"goal state {goal}: {want} states cannot reach it; policy is best-effort there"]
+            if want else []
+        )
 
 
 def test_default_candidates_follow_goal_list():
     agent = chain_agent()
     cands = default_candidates(agent, 3)
     assert [c.label for c in cands] == ["goal_1"]
-    assert cands[0].goal == 1
 
 
 # ------------------------------------------------------------ window kernels
@@ -601,7 +626,7 @@ def test_assignment_view_is_read_only_and_complete():
 
 
 def relabelled(pol, label):
-    return LocalGoalPolicy(label, pol.actions, pol.stationary, pol.goal, pol.value)
+    return LocalGoalPolicy(label, pol.actions, pol.value)
 
 
 def test_lgo_rejects_two_policies_with_one_label():

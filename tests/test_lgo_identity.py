@@ -25,8 +25,8 @@ from conftest import TOY_GRID, toy_model
 
 GO, WAIT = 0, 1
 POOL = [
-    LocalGoalPolicy("march", np.array([[GO, WAIT]]), stationary=True),
-    LocalGoalPolicy("idle", np.array([[WAIT, WAIT]]), stationary=True),
+    LocalGoalPolicy("march", np.array([[GO, WAIT]])),
+    LocalGoalPolicy("idle", np.array([[WAIT, WAIT]])),
     LocalGoalPolicy("late", np.array([[WAIT, WAIT], [GO, WAIT]])),
 ]
 

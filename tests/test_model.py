@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commplan.domains import GridConfig, build_meeting
+from commplan.lgo import lgo_msbpi
 from commplan.model import (
     AgentModel,
     DecMdpCom,
@@ -16,6 +17,7 @@ from commplan.model import (
     require_valid,
     validate,
 )
+from commplan.msbpi import msbpi
 from conftest import TOY_GRID, blocked_agent, chain_agent, toy_model
 from oracles import goal_reachable_bfs, successors
 
@@ -130,6 +132,21 @@ def two_chain_model(**fields):
         initial_state=FactoredState(0, 0),
         **fields,
     )
+
+
+@pytest.mark.parametrize(
+    "cost, shape",
+    [([-1.0], "(1,)"), ([-1.0, -0.2, -5.0], "(3,)"), ([-1.0, -0.2, np.nan], "(3,)")],
+    ids=["short", "long", "nan-past-the-last-action"],
+)
+def test_action_cost_must_match_the_actions(cost, shape):
+    m = two_chain_model()
+    m.agent2.action_cost = np.array(cost)
+    problem = f"b: action cost shape {shape} does not match 2 actions"
+    assert validate(m) == [problem]
+    for plan in (msbpi, lgo_msbpi):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            plan(m)
 
 
 @pytest.mark.parametrize(

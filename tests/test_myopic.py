@@ -19,7 +19,6 @@ from commplan.myopic import (
     CommPolicy,
     _distance_laws,
     _exchange_scores,
-    _exchange_times,
     comm_policy_table,
     comm_table_csv,
     split_distance,
@@ -143,7 +142,6 @@ def test_meeting_time_work_scales_with_grid_area():
     # of distinct cells solved for a g x g grid is at most g * g
     for g in (4, 6, 8, 10):
         theta_nc_meeting.cache_clear()
-        _exchange_times.cache_clear()
         _exchange_scores.cache_clear()
         comm_policy_table(grid_size=g, p_u=0.6, comm_cost=-0.1)
         assert theta_nc_meeting.cache_info().misses <= g * g
@@ -157,9 +155,7 @@ def test_meeting_time_work_scales_with_grid_area():
 
 
 def test_fixed_policies_accept_all_policy_forms():
-    goal_pol = LocalGoalPolicy(
-        label="march", actions=np.array([[GO, WAIT]]), stationary=True, goal=1
-    )
+    goal_pol = LocalGoalPolicy(label="march", actions=np.array([[GO, WAIT]]))
     by_call = lambda s, t: WAIT if s == 1 else GO  # noqa: E731
     flat = np.array([GO, WAIT])
     staged = np.array([[GO, GO], [WAIT, WAIT]])
@@ -532,7 +528,6 @@ def test_exchange_time_table_is_built_once_per_arguments(monkeypatch):
         return _distance_laws(*args)
 
     monkeypatch.setattr("commplan.myopic._distance_laws", counted)
-    _exchange_times.cache_clear()
     _exchange_scores.cache_clear()
     first = comm_policy_table(grid_size=6, p_u=0.45, comm_cost=-0.7)
     assert len(built) == 1
@@ -546,7 +541,6 @@ def test_exchange_time_table_is_built_once_per_arguments(monkeypatch):
     comm_policy_table(6, 0.45, -3.0)
     comm_policy_table(6, 0.45, -0.7, -2.0)
     assert len(built) == 2
-    assert _exchange_times.cache_info().misses == 4
 
 
 def test_exchange_time_tables_do_not_share_times():

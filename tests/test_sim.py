@@ -134,6 +134,10 @@ def test_unsupported_strategy_rejected():
         run_episode(object(), NoCommunication(), _rng())
     with pytest.raises(ValueError, match="unsupported model strategy"):
         run_episode(toy_model(), NoCommunication(), _rng())
+    # policy trees run on a joint model, never on the production domain
+    production = build_production(0.8, 0.8, T=2, comm_cost=-1.0)
+    with pytest.raises(ValueError, match="unsupported production strategy"):
+        run_episode(production, msbpi(toy_model()), _rng())
 
 
 def test_lgo_windows_past_the_horizon_are_rejected():

@@ -124,19 +124,18 @@ def test_long_walks_match_reference(cap):
         assert capped > 0  # the longest walks are cut short
 
 
-def _several_rows(pol, rows, stationary=False):
+def _several_rows(pol, rows):
     """pol with `rows` action rows, the odd ones swapping the two actions."""
     acts = np.stack([pol.actions[0] if r % 2 == 0 else 1 - pol.actions[0]
                      for r in range(rows)])
-    return LocalGoalPolicy(label=f"{pol.label}_rows{rows}", actions=acts,
-                           stationary=stationary)
+    return LocalGoalPolicy(label=f"{pol.label}_rows{rows}", actions=acts)
 
 
 def test_goal_windows_on_several_action_rows_match_reference():
     domain = build_production(0.6, 0.8, T=6, comm_cost=-1.0)
     extra1 = [_several_rows(domain.candidates1[1], 3),
               _several_rows(domain.candidates1[2], 8),
-              _several_rows(domain.candidates1[3], 2, stationary=True)]
+              _several_rows(domain.candidates1[3], 2)]
     extra2 = [_several_rows(domain.candidates2[4], 4)]
     cand1 = domain.candidates1[:2] + extra1
     cand2 = domain.candidates2[3:5] + extra2
