@@ -34,7 +34,7 @@ from .lgo import (
     solve_local_mdp,
 )
 from .model import AgentModel, DecMdpCom, FactoredState, validate
-from .model_io import models_equal, parse_model, serialize_model
+from .model_io import parse_model, serialize_model
 from .msbpi import (
     DEFAULT_NODE_BUDGET,
     GeneralMechanism,
@@ -81,7 +81,6 @@ __all__ = [
     "expected_table",
     "joint_f_value",
     "lgo_msbpi",
-    "models_equal",
     "monte_carlo",
     "msbpi",
     "parse_model",

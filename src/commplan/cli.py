@@ -3,15 +3,18 @@
 Every run prints its resolved configuration, seed included, so any output
 can be regenerated byte for byte by re-running the logged command.  Exit
 codes: 0 success, 1 failed reproduction, 2 usage errors or an exhausted
-search-node budget.  A usage error is any ValueError or OSError a command
-raises (an option value out of range, a missing or malformed model file, a
-strategy the domain cannot run); it prints one ``error:`` line.
+search-node budget, 141 (128 + SIGPIPE) a stdout that lost its reader, as
+in ``commplan plan ... | head -1``; that run prints nothing more.  A usage
+error is any other ValueError or OSError a command raises (an option value
+out of range, a missing or malformed model file, a strategy the domain
+cannot run); it prints one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,7 +36,7 @@ from .myopic import comm_policy_table, comm_table_csv
 from .sim import SimConfig, monte_carlo, results_csv
 from .tables import TABLE_IDS, reproduce
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_PIPE = 0, 1, 2, 141
 LGO_NEEDS_PRODUCTION = (
     "lgo plans over candidate local goals, which the production domain and"
     " model files define; use --domain production"
@@ -228,6 +231,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

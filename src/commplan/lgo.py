@@ -13,7 +13,12 @@ Windows propagate each agent independently (transition independence), so the
 k-step window reduces to per-agent propagator matrices plus accumulated
 action-cost vectors, and the candidate scores for a whole state layer come
 out of a few dense matrix products: M1 @ W is formed once per agent-1
-candidate and shared by every agent-2 candidate it is paired with.
+candidate and shared by every agent-2 candidate it is paired with.  An extra
+reward factors the same way, so every model is scored on this one path: its
+expected value per action pair, E[a1, a2, s1, s2] (model.expected_extra), is
+tabulated once, and a pair's window total follows X(t, 1) = R(t),
+X(t, k) = X(t, k-1) + M1(t, k-1) @ R(t+k-1) @ M2(t, k-1).T, where R(tau) reads
+E at the two policies' actions at tau.
 
 The assignment table is three int arrays indexed [t, s1, s2]: the positions
 of the two agents' policies in their candidate lists, and the window length.
@@ -28,12 +33,11 @@ import operator
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import AgentModel, DecMdpCom, require_valid
-from .options import _forward_level, _Successors
+from .model import AgentModel, DecMdpCom, expected_extra, require_valid
 
 
 @dataclass(eq=False)
@@ -192,19 +196,22 @@ def _step_cost_vector(agent: AgentModel, pol: LocalGoalPolicy, t: int) -> np.nda
 
 
 class _WindowCache:
-    """Per-agent k-step propagators M and accumulated action-cost vectors c.
+    """Per-agent k-step propagators M and accumulated action-cost vectors c,
+    and per-pair expected extra rewards X.
 
     For a window [t, t+k): M[s, s'] is the chance of ending at s' having
     started at s, and c[s] the expected total action cost on the way.  The
     k-step pieces extend the (k-1)-step ones by step t+k-1, and the 1-step
     pieces extend the identity, so the same products run in the same order
     whichever windows were asked for first.  One-row policies share entries
-    across t.
+    across t, and pairs of them share X.
     """
 
     def __init__(self, m: DecMdpCom):
         self.m = m
         self.cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self.E = expected_extra(m) if m.extra_reward is not None else None
+        self.extras: Dict[tuple, np.ndarray] = {}
 
     def pieces(self, agent_idx: int, pol: LocalGoalPolicy, t: int, k: int):
         agent = self.m.agent1 if agent_idx == 1 else self.m.agent2
@@ -221,46 +228,34 @@ class _WindowCache:
         self.cache[key] = (M, c)
         return M, c
 
+    def extra(self, pol1: LocalGoalPolicy, pol2: LocalGoalPolicy, t: int, k: int):
+        """X[s1, s2]: the expected extra reward over the window [t, t+k), with
+        R(tau)[s1, s2] = E[a1(s1, tau), a2(s2, tau), s1, s2] gathered at the
+        states where step tau starts:
+        X(t, 1) = R(t), X(t, k) = X(t, k-1) + M1(t, k-1) @ R(t+k-1) @ M2(t, k-1).T."""
+        one_row = len(pol1.actions) == 1 and len(pol2.actions) == 1
+        key = (pol1.label, pol2.label, 0 if one_row else t, k)
+        if key in self.extras:
+            return self.extras[key]
+        tau = t + k - 1
+        R = self.E[
+            pol1.actions[pol1.row_at(tau)][:, None],
+            pol2.actions[pol2.row_at(tau)][None, :],
+            np.arange(self.m.agent1.n_states)[:, None],
+            np.arange(self.m.agent2.n_states)[None, :],
+        ]
+        if k > 1:
+            M1, _ = self.pieces(1, pol1, t, k - 1)
+            M2, _ = self.pieces(2, pol2, t, k - 1)
+            R = self.extra(pol1, pol2, t, k - 1) + M1 @ R @ M2.T
+        self.extras[key] = R
+        return R
+
 
 def _phi_matrix(m: DecMdpCom) -> np.ndarray:
     if m.potential is None:
         return np.zeros((m.agent1.n_states, m.agent2.n_states))
     return m.potential
-
-
-class _Window(NamedTuple):
-    """A goal policy read as a policy tree rooted at time t."""
-
-    pol: LocalGoalPolicy
-    t: int
-
-    def action_at(self, s: int, d: int) -> int:
-        return self.pol.action_at(s, self.t + d)
-
-
-def _forward_value(
-    m: DecMdpCom,
-    g1: LocalGoalPolicy,
-    g2: LocalGoalPolicy,
-    s1: int,
-    s2: int,
-    t: int,
-    k: int,
-    V: np.ndarray,
-    succ1: _Successors,
-    succ2: _Successors,
-) -> float:
-    """Value at t of assigning (g1, g2, k) in (s1, s2), by k levels of the
-    forward kernel.  Goal policies never communicate or run out, so every
-    cell stays alive through the window."""
-    w1, w2 = _Window(g1, t), _Window(g2, t)
-    alive = {(s1, s2): [1.0, 0.0]}
-    for j in range(1, k + 1):
-        _, _, alive = _forward_level(alive, w1, w2, m, j, succ1, succ2)
-    total = 0.0
-    for (q1, q2), (mu, rho) in alive.items():
-        total += rho + mu * (m.comm_cost + V[t + k, q1, q2])
-    return total
 
 
 def _layer_scores(
@@ -274,50 +269,40 @@ def _layer_scores(
     phi: np.ndarray,
     rows,
 ):
-    """Score candidate pairs on the (k, t) layer.
+    """Score candidate pairs on the (k, t) layer, every state at once.
 
     rows is a sequence of (i1, [(i2, cells), ...]): positions in cand1 and
-    cand2, and the flat state indices that need a score (None for all).
-    Yields (i1, i2, cells, F) in that order, F[s1, s2] being the value at t of
-    assigning (cand1[i1], cand2[i2], k) in (s1, s2) with V[t + k] beyond the
-    window.  Only V[t + k] is read, so the caller may update V[t] between
-    yields.  Without an extra reward F is one buffer that the next yield
-    overwrites: read it before asking for the next.
+    cand2, and whatever the caller wants handed back with each score (the
+    evaluator's flat state indices).  Yields (i1, i2, cells, F) in that
+    order, F[s1, s2] being the value at t of assigning (cand1[i1], cand2[i2],
+    k) in (s1, s2) with V[t + k] beyond the window.  Only V[t + k] is read,
+    so the caller may update V[t] between yields.  F is one buffer that the
+    next yield overwrites: read it before asking for the next.
 
-    Without an extra reward every state is scored at once.  Expected action
-    costs accumulate per agent; the state-based reward telescopes through the
-    potential, leaving end-of-window potential minus the starting one; the
-    exchange cost lands once; the future value enters through the joint
-    k-step propagator, M1 @ W @ M2.T, whose left product is shared by every
-    g2 paired with one g1.  With an extra reward only the requested cells
-    are scored, each by forward propagation.
+    Expected action costs accumulate per agent; the state-based reward
+    telescopes through the potential, leaving end-of-window potential minus
+    the starting one; the exchange cost lands once; an extra reward enters
+    as the window's X (_WindowCache.extra, the same M1 @ R @ M2.T products
+    step by step); the future value enters through the joint k-step
+    propagator, M1 @ W @ M2.T, whose left product is shared by every g2
+    paired with one g1.
     """
     n1, n2 = m.agent1.n_states, m.agent2.n_states
-    if m.extra_reward is None:
-        W = phi + V[t + k]
-        A, P, F = np.empty((n1, n2)), np.empty((n1, n2)), np.empty((n1, n2))
-        for i1, row in rows:
-            M1, c1 = cache.pieces(1, cand1[i1], t, k)
-            np.matmul(M1, W, out=A)
-            for i2, cells in row:
-                M2, c2 = cache.pieces(2, cand2[i2], t, k)
-                # c1 + c2 - phi + comm_cost + A @ M2.T, summed left to right
-                np.add(c1[:, None], c2[None, :], out=F)
-                np.subtract(F, phi, out=F)
-                np.add(F, m.comm_cost, out=F)
-                np.matmul(A, M2.T, out=P)
-                F += P
-                yield i1, i2, cells, F
-        return
-    succ1, succ2 = _Successors(m.agent1), _Successors(m.agent2)
+    W = phi + V[t + k]
+    A, P, F = np.empty((n1, n2)), np.empty((n1, n2)), np.empty((n1, n2))
     for i1, row in rows:
+        M1, c1 = cache.pieces(1, cand1[i1], t, k)
+        np.matmul(M1, W, out=A)
         for i2, cells in row:
-            F = np.empty((n1, n2))
-            for c in range(n1 * n2) if cells is None else cells:
-                s1, s2 = divmod(int(c), n2)
-                F[s1, s2] = _forward_value(
-                    m, cand1[i1], cand2[i2], s1, s2, t, k, V, succ1, succ2
-                )
+            M2, c2 = cache.pieces(2, cand2[i2], t, k)
+            # c1 + c2 - phi + comm_cost (+ X) + A @ M2.T, summed left to right
+            np.add(c1[:, None], c2[None, :], out=F)
+            np.subtract(F, phi, out=F)
+            np.add(F, m.comm_cost, out=F)
+            if m.extra_reward is not None:
+                F += cache.extra(cand1[i1], cand2[i2], t, k)
+            np.matmul(A, M2.T, out=P)
+            F += P
             yield i1, i2, cells, F
 
 

@@ -159,6 +159,23 @@ class DecMdpCom:
         return r
 
 
+def expected_extra(m: DecMdpCom) -> np.ndarray:
+    """E[a1, a2, s1, s2]: the expected extra reward of the action pair (a1, a2)
+    in (s1, s2), sum over s1', s2' of P1 * P2 * extra(s1, s2, s1', s2').
+
+    The callable is evaluated once per state pair and pair of successors that
+    some action can reach, read off the transition rows."""
+    P1, P2 = m.agent1.transition, m.agent2.transition
+    succ1 = [np.flatnonzero((P1[i] > 0.0).any(axis=0)) for i in range(len(P1))]
+    succ2 = [np.flatnonzero((P2[j] > 0.0).any(axis=0)) for j in range(len(P2))]
+    E = np.empty((P1.shape[1], P2.shape[1], len(P1), len(P2)))
+    for i, q1 in enumerate(succ1):
+        for j, q2 in enumerate(succ2):
+            X = np.array([[m.extra_reward(i, j, x, y) for y in q2] for x in q1], float)
+            E[:, :, i, j] = P1[i][:, q1] @ X @ P2[j][:, q2].T
+    return E
+
+
 def _goal_reachable_within(m: DecMdpCom) -> bool:
     """Whether some global goal is reachable within the horizon.
 

@@ -141,6 +141,8 @@ def _parse_agent_block(lines, i, expected_index):
     sidx = {s: k for k, s in enumerate(states)}
     aidx = {a: k for k, a in enumerate(actions)}
     n, na = len(states), len(actions)
+    if noop is not None and noop not in aidx:
+        raise ModelFormatError(f"line {seen['noop']}: unknown noop action '{noop}'")
     transition = np.zeros((n, na, n))
     listed = set()
     for ln, s_lbl, a_lbl, row in trans_rows:
@@ -292,43 +294,3 @@ def serialize_model(m: DecMdpCom) -> str:
         out.append("goal_pairs " + " ".join(pairs))
     return "\n".join(out) + "\n"
 
-
-def models_equal(m1: DecMdpCom, m2: DecMdpCom) -> bool:
-    """Structural equality of everything the text format represents.  The
-    potential it cannot represent must be equal by value, and the extra reward
-    must be the same object.  A None goal or potential equals an all-False or
-    all-zero one."""
-    shape = (m1.agent1.n_states, m1.agent2.n_states)
-
-    def table(x: Optional[np.ndarray], dtype) -> np.ndarray:
-        return np.zeros(shape, dtype) if x is None else x
-
-    def labels(a: AgentModel):
-        return a.state_labels or tuple(str(i) for i in range(a.n_states))
-
-    def agents_equal(x: AgentModel, y: AgentModel) -> bool:
-        return (
-            x.n_states == y.n_states
-            and x.actions == y.actions
-            and np.array_equal(x.transition, y.transition)
-            and x.goal_candidates == y.goal_candidates
-            and np.array_equal(
-                x.action_cost if x.action_cost is not None else np.zeros(x.n_actions),
-                y.action_cost if y.action_cost is not None else np.zeros(y.n_actions),
-            )
-            and x.noop == y.noop
-            and labels(x) == labels(y)
-            and x.name == y.name
-        )
-
-    return (
-        agents_equal(m1.agent1, m2.agent1)
-        and agents_equal(m1.agent2, m2.agent2)
-        and m1.comm_cost == m2.comm_cost
-        and m1.horizon == m2.horizon
-        and m1.initial_state == m2.initial_state
-        and m1.name == m2.name
-        and np.array_equal(table(m1.potential, float), table(m2.potential, float))
-        and m1.extra_reward is m2.extra_reward
-        and np.array_equal(table(m1.goal, bool), table(m2.goal, bool))
-    )

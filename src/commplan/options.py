@@ -14,13 +14,13 @@ action; the other agent's concurrent domain action does execute; the
 exchange itself is charged once at the pair level, and not at all when it
 falls exactly at the horizon.
 
-_forward_level advances a pair's running cells by one step; LGO's per-cell
-window scores run it on goal policies.  A pair's value is one fold over it:
-advance adds a level's exchange terms to a ForwardState and state_value
-closes it.  joint_f_value folds from the root and the tree-pair search one
-level per node, so both add the same terms in the same order.  _live_next
-steps a tree's live frontier one level.  The paper's P_N and R_N are test
-oracles (tests/oracles.py).
+_forward_level advances a pair's running cells by one step; it serves the
+tree-pair search only (LGO scores its windows by matrix products).  A pair's
+value is one fold over it: advance adds a level's exchange terms to a
+ForwardState and state_value closes it.  joint_f_value folds from the root
+and the tree-pair search one level per node, so both add the same terms in
+the same order.  _live_next steps a tree's live frontier one level.  The
+paper's P_N and R_N are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations

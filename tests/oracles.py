@@ -25,6 +25,8 @@ the definitions live here and are checked against those kernels:
   remaining distances, scored separation by separation.
   commplan.myopic.comm_policy_table must give the same table.
 - welch_ttest compares two Monte-Carlo batches from commplan.sim.
+- models_equal compares two joint models on everything the model file
+  format represents; it checks the round trip through commplan.model_io.
 - midpoint and step_toward are the meeting walk as positions: the walkers
   head x-leg first for the middle cell of a shortest path.  The grid
   reference engine walks with them, and they check that agent 1 is d // 2
@@ -45,7 +47,7 @@ the definitions live here and are checked against those kernels:
 Bodies are as they were in the library, except that the myopic ones read
 time stamps through _stamp, since model states no longer carry one.
 root_walk_f_value was the library's joint_f_value and cap_with_comm its
-_cap_with_comm(tree, agent).
+_cap_with_comm(tree, agent); models_equal was commplan.model_io's.
 """
 
 from __future__ import annotations
@@ -896,3 +898,48 @@ def welch_ttest(a: SimResult, b: SimResult) -> Tuple[float, float]:
         equal_var=False,
     )
     return float(res.statistic), float(res.pvalue)
+
+
+# ---------------------------------------------------------------------------
+# model files
+
+
+def models_equal(m1: DecMdpCom, m2: DecMdpCom) -> bool:
+    """Structural equality of everything the text format represents.  The
+    potential it cannot represent must be equal by value, and the extra reward
+    must be the same object.  A None goal or potential equals an all-False or
+    all-zero one."""
+    shape = (m1.agent1.n_states, m1.agent2.n_states)
+
+    def table(x: Optional[np.ndarray], dtype) -> np.ndarray:
+        return np.zeros(shape, dtype) if x is None else x
+
+    def labels(a: AgentModel):
+        return a.state_labels or tuple(str(i) for i in range(a.n_states))
+
+    def agents_equal(x: AgentModel, y: AgentModel) -> bool:
+        return (
+            x.n_states == y.n_states
+            and x.actions == y.actions
+            and np.array_equal(x.transition, y.transition)
+            and x.goal_candidates == y.goal_candidates
+            and np.array_equal(
+                x.action_cost if x.action_cost is not None else np.zeros(x.n_actions),
+                y.action_cost if y.action_cost is not None else np.zeros(y.n_actions),
+            )
+            and x.noop == y.noop
+            and labels(x) == labels(y)
+            and x.name == y.name
+        )
+
+    return (
+        agents_equal(m1.agent1, m2.agent1)
+        and agents_equal(m1.agent2, m2.agent2)
+        and m1.comm_cost == m2.comm_cost
+        and m1.horizon == m2.horizon
+        and m1.initial_state == m2.initial_state
+        and m1.name == m2.name
+        and np.array_equal(table(m1.potential, float), table(m2.potential, float))
+        and m1.extra_reward is m2.extra_reward
+        and np.array_equal(table(m1.goal, bool), table(m2.goal, bool))
+    )

@@ -5,7 +5,8 @@ stderr and any file the command wrote.  One test shells out to the
 ``commplan`` script to cover the packaging entry point: the installed script
 when one is on ``PATH``, else the entry point ``pyproject.toml`` declares.
 Another scans the package source for scipy imports, since scipy is only a
-test dependency.
+test dependency, and one runs ``python -m commplan`` into a pipe that has no
+reader.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from commplan.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from commplan.cli import EXIT_FAIL, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from commplan.model_io import parse_model
 from commplan.msbpi import msbpi
 from commplan.myopic import comm_policy_table, comm_table_csv
@@ -159,6 +160,7 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/twice.model"],
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/missing.model"],
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/bare.model"],
+        ["plan", "--algo", "msbpi", "--model-file", "{tmp}/noop-state.model"],
         ["plan", "--algo", "lgo", "--model-file", "{tmp}/no-goals.model"],
         ["plan", "--algo", "lgo", "--model-file", "{tmp}/no-noop.model"],
         ["plan", "--algo", "msbpi", "--max-option-length", "0"],
@@ -176,6 +178,7 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["simulate", "--strategy", "myopic", "--pu", "1e-17"],
     ],
     ids=["model-file-repeated-key", "model-file-missing", "model-file-bare-key",
+         "model-file-noop-state",
          "lgo-model-file-no-goals", "lgo-model-file-no-noop",
          "max-option-length-0", "lgo-positive-comm-cost", "plan-pu-0", "lgo-on-meeting",
          "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5", "seed-negative",
@@ -185,6 +188,7 @@ def test_plan_lgo_needs_candidate_goals(capsys):
 def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")
     (tmp_path / "bare.model").write_text("horizon\n")
+    (tmp_path / "noop-state.model").write_text(TINY_MODEL.replace("  noop stay\n", "  noop s0\n"))
     (tmp_path / "no-goals.model").write_text(TINY_MODEL.replace("  goals s1\n", ""))
     (tmp_path / "no-noop.model").write_text(TINY_MODEL.replace("  noop stay\n", ""))
     rc, _, err = run_cli(capsys, [a.format(tmp=tmp_path) for a in argv])
@@ -294,6 +298,27 @@ def test_console_script_is_installed():
     proc = subprocess.run(argv + ["--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "plan" in proc.stdout and "simulate" in proc.stdout and "reproduce" in proc.stdout
+
+
+def test_a_stdout_without_reader_exits_quietly():
+    # the read end of stdout's pipe is closed before the run starts, as when
+    # `commplan ... | head -1` has exited; that is not a usage error
+    import commplan
+
+    env = dict(os.environ)
+    src = str(Path(commplan.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "commplan", "reproduce", "--table", "T5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stderr == ""
 
 
 def test_import_loads_neither_numpy_random_nor_scipy():

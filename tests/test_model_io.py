@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from commplan.model import AgentModel, DecMdpCom, FactoredState
-from commplan.model_io import (
-    ModelFormatError,
-    models_equal,
-    parse_model,
-    serialize_model,
-)
+from commplan.model_io import ModelFormatError, parse_model, serialize_model
+from oracles import models_equal
 
 SAMPLE = """
 model sample
@@ -158,9 +154,10 @@ def test_parse_rejects_repeated_keys(old, new, what):
         ("cost move -1", "cost move", "line 12: 'cost' is missing a value"),
         ("horizon 4", "horizon 2.5", "line 3: '2.5' is not an integer"),
         ("(s1,s1)", "(s1s1)", "line 25: goal pair '\\(s1s1\\)' has no comma"),
+        ("noop stay", "noop s0", "line 10: unknown noop action 's0'"),
     ],
     ids=["horizon", "comm_cost", "agent", "noop", "initial", "cost", "horizon-float",
-         "goal-pair"],
+         "goal-pair", "noop-not-an-action"],
 )
 def test_parse_rejects_missing_values(old, new, what):
     assert old in SAMPLE
