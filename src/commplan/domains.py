@@ -257,8 +257,7 @@ def solve_joint_mmdp(m: DecMdpCom) -> JointPolicy:
     A1, A2 = m.agent1.n_actions, m.agent2.n_actions
     V = m.potential.copy() if m.potential is not None else np.zeros((n1, n2))
     acts = np.zeros((m.horizon, n1, n2), dtype=np.int16)
-    c1 = m.agent1.action_cost if m.agent1.action_cost is not None else np.zeros(A1)
-    c2 = m.agent2.action_cost if m.agent2.action_cost is not None else np.zeros(A2)
+    c1, c2 = m.agent1.action_cost, m.agent2.action_cost
     extra = expected_extra(m) if m.extra_reward is not None else None
     for t in range(m.horizon - 1, -1, -1):
         best = np.full((n1, n2), -np.inf)

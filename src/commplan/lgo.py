@@ -154,11 +154,10 @@ def solve_local_mdp(agent: AgentModel, goal: int, T: int) -> LocalGoalPolicy:
             "goal-directed behavior needs one to hold the goal at zero cost"
         )
     n = agent.n_states
-    costs = np.zeros(agent.n_actions) if agent.action_cost is None else agent.action_cost
     V = np.zeros((T + 1, n))
     acts = np.zeros((T, n), dtype=int)
     for t in range(T - 1, -1, -1):
-        q = costs[None, :] + np.einsum("saq,q->sa", agent.transition, V[t + 1])
+        q = agent.action_cost[None, :] + np.einsum("saq,q->sa", agent.transition, V[t + 1])
         acts[t] = np.argmax(q, axis=1)
         V[t] = q[np.arange(n), acts[t]]
         V[t, goal] = 0.0
@@ -177,7 +176,7 @@ def solve_local_mdp(agent: AgentModel, goal: int, T: int) -> LocalGoalPolicy:
             stacklevel=2,
         )
     return LocalGoalPolicy(
-        label=f"goal_{agent.state_label(goal)}",
+        label=f"goal_{agent.state_labels[goal]}",
         actions=acts[:1] if (acts == acts[0]).all() else acts,
         value=V,
     )
@@ -186,13 +185,6 @@ def solve_local_mdp(agent: AgentModel, goal: int, T: int) -> LocalGoalPolicy:
 def _step_matrix(agent: AgentModel, pol: LocalGoalPolicy, t: int) -> np.ndarray:
     acts = pol.actions[pol.row_at(t)]
     return agent.transition[np.arange(agent.n_states), acts]
-
-
-def _step_cost_vector(agent: AgentModel, pol: LocalGoalPolicy, t: int) -> np.ndarray:
-    if agent.action_cost is None:
-        return np.zeros(agent.n_states)
-    acts = pol.actions[pol.row_at(t)]
-    return np.asarray(agent.action_cost, dtype=float)[acts]
 
 
 class _WindowCache:
@@ -223,7 +215,7 @@ class _WindowCache:
         else:
             M, c = self.pieces(agent_idx, pol, t, k - 1)
         step_t = t + k - 1
-        c = c + M @ _step_cost_vector(agent, pol, step_t)
+        c = c + M @ agent.action_cost[pol.actions[pol.row_at(step_t)]]
         M = M @ _step_matrix(agent, pol, step_t)
         self.cache[key] = (M, c)
         return M, c

@@ -33,6 +33,8 @@ class AgentModel:
     action a is taken in local state s.  goal_candidates lists the local
     states that may serve as assigned goals.  noop, when set, is the index of
     a designated stay-in-place action (zero cost once a goal is reached).
+    action_cost defaults to zeros, one per action, and state_labels to
+    "0", "1", ... so both are always set.
     """
 
     n_states: int
@@ -46,17 +48,14 @@ class AgentModel:
 
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=float)
-        if self.action_cost is not None:
-            self.action_cost = np.asarray(self.action_cost, dtype=float)
+        cost = np.zeros(len(self.actions)) if self.action_cost is None else self.action_cost
+        self.action_cost = np.asarray(cost, dtype=float)
+        if self.state_labels is None:
+            self.state_labels = tuple(str(s) for s in range(self.n_states))
 
     @property
     def n_actions(self) -> int:
         return len(self.actions)
-
-    def state_label(self, s: int) -> str:
-        if self.state_labels is not None:
-            return self.state_labels[s]
-        return str(s)
 
     def violations(self) -> list:
         """Invariant violations of this local model, empty when well formed."""
@@ -74,15 +73,19 @@ class AgentModel:
                 f"{self.name}: non-finite transition probability at state {s} "
                 f"action {self.actions[a]}"
             )
-        if self.action_cost is not None:
-            bad = np.flatnonzero(~np.isfinite(self.action_cost))
-            if self.action_cost.shape != (self.n_actions,):
-                out.append(
-                    f"{self.name}: action cost shape {self.action_cost.shape} "
-                    f"does not match {self.n_actions} actions"
-                )
-            elif len(bad):
-                out.append(f"{self.name}: non-finite cost for action {self.actions[bad[0]]}")
+        bad = np.flatnonzero(~np.isfinite(self.action_cost))
+        if self.action_cost.shape != (self.n_actions,):
+            out.append(
+                f"{self.name}: action cost shape {self.action_cost.shape} "
+                f"does not match {self.n_actions} actions"
+            )
+        elif len(bad):
+            out.append(f"{self.name}: non-finite cost for action {self.actions[bad[0]]}")
+        if self.noop is not None and not (0 <= self.noop < self.n_actions):
+            out.append(f"{self.name}: noop {self.noop} out of range for {self.n_actions} actions")
+        if len(self.state_labels) != self.n_states:
+            out.append(f"{self.name}: state labels length {len(self.state_labels)} "
+                       f"does not match {self.n_states} states")
         if np.any(self.transition < -1e-12) or np.any(self.transition > 1.0 + 1e-12):
             bad = np.argwhere((self.transition < -1e-12) | (self.transition > 1.0 + 1e-12))
             s, a, _ = bad[0]
@@ -133,14 +136,6 @@ class DecMdpCom:
         if self.potential is not None:
             self.potential = np.asarray(self.potential, dtype=float)
 
-    def action_cost(self, agent_index: int, a: Optional[int]) -> float:
-        if a is None:
-            return 0.0
-        agent = self.agent1 if agent_index == 1 else self.agent2
-        if agent.action_cost is None:
-            return 0.0
-        return float(agent.action_cost[a])
-
     def step_reward(
         self,
         s1: int,
@@ -151,7 +146,8 @@ class DecMdpCom:
         ns2: int,
     ) -> float:
         """System reward for one step; a None action means that agent communicated."""
-        r = self.action_cost(1, a1) + self.action_cost(2, a2)
+        c1, c2 = self.agent1.action_cost, self.agent2.action_cost
+        r = (0.0 if a1 is None else float(c1[a1])) + (0.0 if a2 is None else float(c2[a2]))
         if self.potential is not None:
             r += float(self.potential[ns1, ns2] - self.potential[s1, s2])
         if self.extra_reward is not None:

@@ -30,10 +30,11 @@ default to staying in place with probability 1.  The goal pairs fill the
 model's (n1, n2) goal mask.  Every key takes exactly its number of values
 (the agent name is optional, and states, actions, goals and goal_pairs take
 a list), numbers must be finite, the horizon and agent index integers, and
-no key, action cost or (state, action) trans row may repeat.
-Serialization is canonical (sorted, fixed formatting), so parse -> serialize
--> parse is an identity; models with a potential or an extra reward, which
-the format cannot carry, are refused.
+no key, state or action label, action cost or (state, action) trans row
+may repeat.  Serialization is canonical (sorted, fixed formatting, a cost
+line per action), so parse -> serialize -> parse is an identity; models
+with a potential or an extra reward, which the format cannot carry, are
+refused.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ def _parse_agent_block(lines, i, expected_index):
         if key in ("states", "actions", "noop", "goals"):
             _once(seen, key, ln, f"key '{key}'")
             fields[key] = _values(toks, ln, 1) if key == "noop" else toks[1:]
+            for k, lbl in enumerate(fields[key] if key in ("states", "actions") else ()):
+                if lbl in fields[key][:k]:
+                    raise ModelFormatError(f"line {ln}: repeated {key[:-1]} '{lbl}'")
         elif key == "cost":
             a_lbl, c = _values(toks, ln, 2)
             _once(seen, ("cost", a_lbl), ln, f"cost for action '{a_lbl}'")
@@ -265,8 +269,7 @@ def serialize_model(m: DecMdpCom) -> str:
             raise ValueError(f"model {m.name!r} has a {attr}, which the text format cannot write")
     out = [f"model {m.name}", f"horizon {m.horizon}", f"comm_cost {_fmt(m.comm_cost)}"]
     a1, a2 = m.agent1, m.agent2
-    lbl1 = a1.state_labels or tuple(str(i) for i in range(a1.n_states))
-    lbl2 = a2.state_labels or tuple(str(i) for i in range(a2.n_states))
+    lbl1, lbl2 = a1.state_labels, a2.state_labels
     out.append(f"initial {lbl1[m.initial_state.s1]} {lbl2[m.initial_state.s2]}")
     for idx, agent, labels in ((1, a1, lbl1), (2, a2, lbl2)):
         out.append("")
@@ -277,9 +280,8 @@ def serialize_model(m: DecMdpCom) -> str:
             out.append(f"  noop {agent.actions[agent.noop]}")
         if agent.goal_candidates:
             out.append("  goals " + " ".join(labels[g] for g in agent.goal_candidates))
-        if agent.action_cost is not None:
-            for a in range(agent.n_actions):
-                out.append(f"  cost {agent.actions[a]} {_fmt(agent.action_cost[a])}")
+        for a in range(agent.n_actions):
+            out.append(f"  cost {agent.actions[a]} {_fmt(agent.action_cost[a])}")
         for s in range(agent.n_states):
             for a in range(agent.n_actions):
                 row = agent.transition[s, a]

@@ -914,21 +914,15 @@ def models_equal(m1: DecMdpCom, m2: DecMdpCom) -> bool:
     def table(x: Optional[np.ndarray], dtype) -> np.ndarray:
         return np.zeros(shape, dtype) if x is None else x
 
-    def labels(a: AgentModel):
-        return a.state_labels or tuple(str(i) for i in range(a.n_states))
-
     def agents_equal(x: AgentModel, y: AgentModel) -> bool:
         return (
             x.n_states == y.n_states
             and x.actions == y.actions
             and np.array_equal(x.transition, y.transition)
             and x.goal_candidates == y.goal_candidates
-            and np.array_equal(
-                x.action_cost if x.action_cost is not None else np.zeros(x.n_actions),
-                y.action_cost if y.action_cost is not None else np.zeros(y.n_actions),
-            )
+            and np.array_equal(x.action_cost, y.action_cost)
             and x.noop == y.noop
-            and labels(x) == labels(y)
+            and x.state_labels == y.state_labels
             and x.name == y.name
         )
 

@@ -12,6 +12,7 @@ reader.
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -135,17 +136,62 @@ def test_plan_lgo_writes_mechanism_csv(capsys, tmp_path):
     assert len(text.splitlines()) > 1
 
 
-def test_plan_lgo_on_the_readme_model_file(capsys, tmp_path):
+def readme_model() -> str:
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     start = readme.index("model example\n")
+    return readme[start:readme.index("```", start)]
+
+
+def test_plan_lgo_on_the_readme_model_file(capsys, tmp_path):
     path = tmp_path / "example.model"
-    path.write_text(readme[start:readme.index("```", start)])
+    path.write_text(readme_model())
     rc, out, err = run_cli(capsys, ["plan", "--algo", "lgo", "--model-file", str(path)])
     assert rc == EXIT_OK
     assert err == ""
     lines = out.splitlines()
     assert "value at initial state: -2.0" in lines
     assert "s1,s2,t,g1,g2,k,V" in lines
+
+
+def edited_models(text: str, count: int, seed: int = 0):
+    """Seeded one-to-three-line edits of a model file: delete or duplicate a
+    line, or replace or insert a token drawn from the file or a few bad
+    values."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    pool = sorted({tok for line in lines for tok in line.split()})
+    pool += ["nan", "1e400", "2.5", "-0.5", "s2", ":", "#"]
+    for _ in range(count):
+        edited = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(edited))
+            toks = edited[i].split()
+            op = rng.randrange(4)
+            if op == 0:
+                del edited[i]
+            elif op == 1:
+                edited.insert(i, rng.choice(edited))
+            elif op == 2 and toks:
+                toks[rng.randrange(len(toks))] = rng.choice(pool)
+                edited[i] = " ".join(toks)
+            else:
+                toks.insert(rng.randint(0, len(toks)), rng.choice(pool))
+                edited[i] = " ".join(toks)
+        yield "\n".join(edited) + "\n"
+
+
+def test_edited_readme_models_plan_or_give_one_error_line(capsys, tmp_path):
+    path = tmp_path / "edited.model"
+    codes = set()
+    for text in edited_models(readme_model(), 400):
+        path.write_text(text)
+        for algo in ("msbpi", "lgo"):
+            rc, _, err = run_cli(capsys, ["plan", "--algo", algo, "--model-file", str(path)])
+            assert rc in (EXIT_OK, EXIT_USAGE), (algo, text)
+            if rc == EXIT_USAGE:
+                assert err.startswith("error:") and err.count("\n") == 1, (algo, text, err)
+            codes.add(rc)
+    assert codes == {EXIT_OK, EXIT_USAGE}  # some edits still plan
 
 
 def test_plan_lgo_needs_candidate_goals(capsys):
@@ -161,6 +207,8 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/missing.model"],
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/bare.model"],
         ["plan", "--algo", "msbpi", "--model-file", "{tmp}/noop-state.model"],
+        ["plan", "--algo", "lgo", "--model-file", "{tmp}/repeated-state.model"],
+        ["plan", "--algo", "msbpi", "--model-file", "{tmp}/repeated-action.model"],
         ["plan", "--algo", "lgo", "--model-file", "{tmp}/no-goals.model"],
         ["plan", "--algo", "lgo", "--model-file", "{tmp}/no-noop.model"],
         ["plan", "--algo", "msbpi", "--max-option-length", "0"],
@@ -178,7 +226,7 @@ def test_plan_lgo_needs_candidate_goals(capsys):
         ["simulate", "--strategy", "myopic", "--pu", "1e-17"],
     ],
     ids=["model-file-repeated-key", "model-file-missing", "model-file-bare-key",
-         "model-file-noop-state",
+         "model-file-noop-state", "model-file-repeated-state", "model-file-repeated-action",
          "lgo-model-file-no-goals", "lgo-model-file-no-noop",
          "max-option-length-0", "lgo-positive-comm-cost", "plan-pu-0", "lgo-on-meeting",
          "subgoals-on-production", "episodes-0", "subgoal-p-0", "pu-1.5", "seed-negative",
@@ -189,6 +237,10 @@ def test_bad_run_inputs_are_usage_errors(capsys, tmp_path, argv):
     (tmp_path / "twice.model").write_text("horizon 3\nhorizon 4\n")
     (tmp_path / "bare.model").write_text("horizon\n")
     (tmp_path / "noop-state.model").write_text(TINY_MODEL.replace("  noop stay\n", "  noop s0\n"))
+    (tmp_path / "repeated-state.model").write_text(
+        TINY_MODEL.replace("states s0 s1", "states s0 s1 s0", 1))
+    (tmp_path / "repeated-action.model").write_text(
+        TINY_MODEL.replace("actions move stay", "actions move stay move", 1))
     (tmp_path / "no-goals.model").write_text(TINY_MODEL.replace("  goals s1\n", ""))
     (tmp_path / "no-noop.model").write_text(TINY_MODEL.replace("  noop stay\n", ""))
     rc, _, err = run_cli(capsys, [a.format(tmp=tmp_path) for a in argv])

@@ -30,7 +30,7 @@ def test_factored_state_fields():
 def test_agent_model_basics():
     a = chain_agent(p=0.7)
     assert a.n_actions == 2
-    assert a.state_label(1) == "1"
+    assert a.state_labels == ("0", "1")
     assert set(successors(a, 0, 0)) == {0, 1}
     assert set(successors(a, 0, 1)) == {0}
     assert a.violations() == []
@@ -76,10 +76,9 @@ def test_step_reward_includes_potential_difference():
 
 
 def test_action_cost_none_is_free():
-    m = toy_model()
-    assert m.action_cost(1, None) == 0.0
-    assert m.action_cost(1, 0) == pytest.approx(-1.0)
-    assert m.action_cost(2, 1) == pytest.approx(-0.2)
+    a = chain_agent()
+    free = AgentModel(n_states=2, actions=a.actions, transition=a.transition)
+    assert np.array_equal(free.action_cost, np.zeros(free.n_actions))
 
 
 def test_goal_mask_matches_predicate():
@@ -124,14 +123,8 @@ def test_validate_flags_non_finite_numbers():
 
 
 def two_chain_model(**fields):
-    return DecMdpCom(
-        agent1=chain_agent("a"),
-        agent2=chain_agent("b"),
-        comm_cost=-1.0,
-        horizon=2,
-        initial_state=FactoredState(0, 0),
-        **fields,
-    )
+    fields = {"agent1": chain_agent("a"), "agent2": chain_agent("b"), **fields}
+    return DecMdpCom(comm_cost=-1.0, horizon=2, initial_state=FactoredState(0, 0), **fields)
 
 
 @pytest.mark.parametrize(
@@ -156,8 +149,12 @@ def test_action_cost_must_match_the_actions(cost, shape):
         # a callable goal becomes a 0-d True under np.asarray
         (dict(goal=lambda s1, s2: s1 == s2), "goal shape () does not match (2, 2)"),
         (dict(potential=[[0.0, 1.0], [np.inf, 0.0]]), "non-finite potential at state (1, 0)"),
+        (dict(agent1=replace(chain_agent("a"), noop=5)), "a: noop 5 out of range for 2 actions"),
+        (dict(agent2=replace(chain_agent("b"), state_labels=("x",))),
+         "b: state labels length 1 does not match 2 states"),
     ],
-    ids=["potential-shape", "goal-shape", "potential-non-finite"],
+    ids=["potential-shape", "goal-shape", "potential-non-finite", "noop-out-of-range",
+         "state-labels-length"],
 )
 def test_validate_reports_bad_reward_arrays(fields, problem):
     m = two_chain_model(**fields)

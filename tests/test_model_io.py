@@ -134,8 +134,10 @@ def test_parse_rejects_non_finite_numbers(old, new, line):
          "cost for action 'move'"),
         ("trans s0 move : s0 0.5 s1 0.5", "trans s0 move : s0 0.5 s1 0.5\n  trans s0 move : s1 1.0",
          "trans s0 move"),
+        ("states s0 s1", "states s0 s1 s0", "state 's0'"),
+        ("actions move stay", "actions move stay move", "action 'move'"),
     ],
-    ids=["header", "agent_block", "cost", "trans"],
+    ids=["header", "agent_block", "cost", "trans", "state_label", "action_label"],
 )
 def test_parse_rejects_repeated_keys(old, new, what):
     assert old in SAMPLE
