@@ -18,7 +18,10 @@ reward factors the same way, so every model is scored on this one path: its
 expected value per action pair, E[a1, a2, s1, s2] (model.expected_extra), is
 tabulated once, and a pair's window total follows X(t, 1) = R(t),
 X(t, k) = X(t, k-1) + M1(t, k-1) @ R(t+k-1) @ M2(t, k-1).T, where R(tau) reads
-E at the two policies' actions at tau.
+E at the two policies' actions at tau.  lgo_msbpi and evaluate_lgo each build
+one scorer, _WindowCache, from the model and the two candidate lists; it
+holds the potential and E and caches the window pieces, and its layer_scores
+and evaluate_table are the only scoring paths.
 
 The assignment table is three int arrays indexed [t, s1, s2]: the positions
 of the two agents' policies in their candidate lists, and the window length.
@@ -182,14 +185,11 @@ def solve_local_mdp(agent: AgentModel, goal: int, T: int) -> LocalGoalPolicy:
     )
 
 
-def _step_matrix(agent: AgentModel, pol: LocalGoalPolicy, t: int) -> np.ndarray:
-    acts = pol.actions[pol.row_at(t)]
-    return agent.transition[np.arange(agent.n_states), acts]
-
-
 class _WindowCache:
-    """Per-agent k-step propagators M and accumulated action-cost vectors c,
-    and per-pair expected extra rewards X.
+    """The LGO scorer of one planner call: the model, both candidate lists,
+    the potential (zeros when the model has none), per-agent k-step
+    propagators M and accumulated action-cost vectors c, and per-pair
+    expected extra rewards X.
 
     For a window [t, t+k): M[s, s'] is the chance of ending at s' having
     started at s, and c[s] the expected total action cost on the way.  The
@@ -199,10 +199,16 @@ class _WindowCache:
     across t, and pairs of them share X.
     """
 
-    def __init__(self, m: DecMdpCom):
-        self.m = m
-        self.cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+    def __init__(
+        self, m: DecMdpCom, cand1: Sequence[LocalGoalPolicy], cand2: Sequence[LocalGoalPolicy]
+    ):
+        _by_label(cand1, 1)
+        _by_label(cand2, 2)
+        self.m, self.cand1, self.cand2 = m, cand1, cand2
+        n1, n2 = m.agent1.n_states, m.agent2.n_states
+        self.phi = np.zeros((n1, n2)) if m.potential is None else m.potential
         self.E = expected_extra(m) if m.extra_reward is not None else None
+        self.cache: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
         self.extras: Dict[tuple, np.ndarray] = {}
 
     def pieces(self, agent_idx: int, pol: LocalGoalPolicy, t: int, k: int):
@@ -214,9 +220,9 @@ class _WindowCache:
             M, c = np.eye(agent.n_states), np.zeros(agent.n_states)
         else:
             M, c = self.pieces(agent_idx, pol, t, k - 1)
-        step_t = t + k - 1
-        c = c + M @ agent.action_cost[pol.actions[pol.row_at(step_t)]]
-        M = M @ _step_matrix(agent, pol, step_t)
+        acts = pol.actions[pol.row_at(t + k - 1)]
+        c = c + M @ agent.action_cost[acts]
+        M = M @ agent.transition[np.arange(agent.n_states), acts]
         self.cache[key] = (M, c)
         return M, c
 
@@ -243,95 +249,66 @@ class _WindowCache:
         self.extras[key] = R
         return R
 
+    def layer_scores(self, t: int, k: int, V: np.ndarray, rows):
+        """Score candidate pairs on the (k, t) layer, every state at once.
 
-def _phi_matrix(m: DecMdpCom) -> np.ndarray:
-    if m.potential is None:
-        return np.zeros((m.agent1.n_states, m.agent2.n_states))
-    return m.potential
+        rows is a sequence of (i1, [(i2, cells), ...]): positions in the two
+        candidate lists, and whatever the caller wants handed back with each
+        score (the evaluator's flat state indices).  Yields (i1, i2, cells, F)
+        in that order, F[s1, s2] being the value at t of assigning
+        (cand1[i1], cand2[i2], k) in (s1, s2) with V[t + k] beyond the
+        window.  Only V[t + k] is read, so the caller may update V[t] between
+        yields.  F is one buffer that the next yield overwrites: read it
+        before asking for the next.
 
+        Expected action costs accumulate per agent; the state-based reward
+        telescopes through the potential, leaving end-of-window potential
+        minus the starting one; the exchange cost lands once; an extra reward
+        enters as the window's X (extra, the same M1 @ R @ M2.T products step
+        by step); the future value enters through the joint k-step
+        propagator, M1 @ W @ M2.T, whose left product is shared by every g2
+        paired with one g1.
+        """
+        m, phi = self.m, self.phi
+        W = phi + V[t + k]
+        A, P, F = np.empty_like(W), np.empty_like(W), np.empty_like(W)
+        for i1, row in rows:
+            M1, c1 = self.pieces(1, self.cand1[i1], t, k)
+            np.matmul(M1, W, out=A)
+            for i2, cells in row:
+                M2, c2 = self.pieces(2, self.cand2[i2], t, k)
+                # c1 + c2 - phi + comm_cost (+ X) + A @ M2.T, summed left to right
+                np.add(c1[:, None], c2[None, :], out=F)
+                np.subtract(F, phi, out=F)
+                np.add(F, m.comm_cost, out=F)
+                if self.E is not None:
+                    F += self.extra(self.cand1[i1], self.cand2[i2], t, k)
+                np.matmul(A, M2.T, out=P)
+                F += P
+                yield i1, i2, cells, F
 
-def _layer_scores(
-    m: DecMdpCom,
-    cache: _WindowCache,
-    cand1: Sequence[LocalGoalPolicy],
-    cand2: Sequence[LocalGoalPolicy],
-    t: int,
-    k: int,
-    V: np.ndarray,
-    phi: np.ndarray,
-    rows,
-):
-    """Score candidate pairs on the (k, t) layer, every state at once.
+    def evaluate_table(self, g1: np.ndarray, g2: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Value table of an array assignment table; V[horizon] = 0.
 
-    rows is a sequence of (i1, [(i2, cells), ...]): positions in cand1 and
-    cand2, and whatever the caller wants handed back with each score (the
-    evaluator's flat state indices).  Yields (i1, i2, cells, F) in that
-    order, F[s1, s2] being the value at t of assigning (cand1[i1], cand2[i2],
-    k) in (s1, s2) with V[t + k] beyond the window.  Only V[t + k] is read,
-    so the caller may update V[t] between yields.  F is one buffer that the
-    next yield overwrites: read it before asking for the next.
-
-    Expected action costs accumulate per agent; the state-based reward
-    telescopes through the potential, leaving end-of-window potential minus
-    the starting one; the exchange cost lands once; an extra reward enters
-    as the window's X (_WindowCache.extra, the same M1 @ R @ M2.T products
-    step by step); the future value enters through the joint k-step
-    propagator, M1 @ W @ M2.T, whose left product is shared by every g2
-    paired with one g1.
-    """
-    n1, n2 = m.agent1.n_states, m.agent2.n_states
-    W = phi + V[t + k]
-    A, P, F = np.empty((n1, n2)), np.empty((n1, n2)), np.empty((n1, n2))
-    for i1, row in rows:
-        M1, c1 = cache.pieces(1, cand1[i1], t, k)
-        np.matmul(M1, W, out=A)
-        for i2, cells in row:
-            M2, c2 = cache.pieces(2, cand2[i2], t, k)
-            # c1 + c2 - phi + comm_cost (+ X) + A @ M2.T, summed left to right
-            np.add(c1[:, None], c2[None, :], out=F)
-            np.subtract(F, phi, out=F)
-            np.add(F, m.comm_cost, out=F)
-            if m.extra_reward is not None:
-                F += cache.extra(cand1[i1], cand2[i2], t, k)
-            np.matmul(A, M2.T, out=P)
-            F += P
-            yield i1, i2, cells, F
-
-
-def _evaluate_table(
-    m: DecMdpCom,
-    cache: _WindowCache,
-    cand1: Sequence[LocalGoalPolicy],
-    cand2: Sequence[LocalGoalPolicy],
-    g1: np.ndarray,
-    g2: np.ndarray,
-    k: np.ndarray,
-    phi: np.ndarray,
-) -> np.ndarray:
-    """Value table of an array assignment table; V[horizon] = 0.
-
-    Each t groups its cells by the packed code (k, g1, g2) and scores every
-    group once, layer by layer, so one M1 @ W is alive at a time."""
-    T = m.horizon
-    n1, n2 = m.agent1.n_states, m.agent2.n_states
-    nc1, nc2 = len(cand1), len(cand2)
-    V = np.zeros((T + 1, n1, n2))
-    for t in range(T - 1, -1, -1):
-        code = ((k[t] * nc1 + g1[t]) * nc2 + g2[t]).ravel()
-        codes, counts = np.unique(code, return_counts=True)
-        cells = np.split(np.argsort(code, kind="stable"), np.cumsum(counts)[:-1])
-        layers: Dict[int, Dict[int, list]] = {}
-        for c, idx in zip(codes.tolist(), cells):
-            kk, rest = divmod(c, nc1 * nc2)
-            i1, i2 = divmod(rest, nc2)
-            layers.setdefault(kk, {}).setdefault(i1, []).append((i2, idx))
-        Vt = V[t].reshape(-1)
-        for kk, rows in layers.items():
-            for _, _, idx, F in _layer_scores(
-                m, cache, cand1, cand2, t, kk, V, phi, rows.items()
-            ):
-                Vt[idx] = F.reshape(-1)[idx]
-    return V
+        Each t groups its cells by the packed code (k, g1, g2) and scores
+        every group once, layer by layer, so one M1 @ W is alive at a time."""
+        m = self.m
+        nc1, nc2 = len(self.cand1), len(self.cand2)
+        V = np.zeros((m.horizon + 1, m.agent1.n_states, m.agent2.n_states))
+        for t in range(m.horizon - 1, -1, -1):
+            code = ((k[t] * nc1 + g1[t]) * nc2 + g2[t]).ravel()
+            codes, counts = np.unique(code, return_counts=True)
+            cells = np.split(np.argsort(code, kind="stable"), np.cumsum(counts)[:-1])
+            layers: Dict[int, Dict[int, list]] = {}
+            for c, idx in zip(codes.tolist(), cells):
+                kk, rest = divmod(c, nc1 * nc2)
+                i1, i2 = divmod(rest, nc2)
+                layers.setdefault(kk, {}).setdefault(i1, []).append((i2, idx))
+            Vt = V[t].reshape(-1)
+            for kk, rows in layers.items():
+                for _, _, idx, F in self.layer_scores(t, kk, V, rows.items()):
+                    Vt[idx] = F.reshape(-1)[idx]
+        return V
 
 
 def _by_label(pols: Sequence[LocalGoalPolicy], agent: int) -> Dict[str, LocalGoalPolicy]:
@@ -341,11 +318,7 @@ def _by_label(pols: Sequence[LocalGoalPolicy], agent: int) -> Dict[str, LocalGoa
     label but act differently would silently share propagators; that is
     rejected.  Copies that act identically are harmless and collapse."""
     out: Dict[str, LocalGoalPolicy] = {}
-    seen = set()
     for pol in pols:
-        if id(pol) in seen:
-            continue
-        seen.add(id(pol))
         first = out.setdefault(pol.label, pol)
         if first is not pol and not np.array_equal(first.actions, pol.actions):
             raise ValueError(
@@ -376,11 +349,11 @@ def check_windows(mech: LgoMechanism, m: DecMdpCom) -> None:
 
 def evaluate_lgo(mech: LgoMechanism, m: DecMdpCom) -> np.ndarray:
     """Value table of a goal-assignment mechanism's table; V[horizon] = 0.
-    A table that does not fit the model is rejected (check_windows)."""
+    A table that does not fit the model (check_windows), or two different
+    candidates under one label, is rejected."""
     check_windows(mech, m)
-    return _evaluate_table(
-        m, _WindowCache(m), mech.candidates1, mech.candidates2, mech.g1, mech.g2, mech.k,
-        _phi_matrix(m),
+    return _WindowCache(m, mech.candidates1, mech.candidates2).evaluate_table(
+        mech.g1, mech.g2, mech.k
     )
 
 
@@ -412,10 +385,7 @@ def lgo_msbpi(
     cand2 = list(candidates2) if candidates2 is not None else default_candidates(m.agent2, T)
     if not cand1 or not cand2:
         raise ValueError("both agents need at least one candidate policy")
-    _by_label(cand1, 1)
-    _by_label(cand2, 2)
-    phi = _phi_matrix(m)
-    cache = _WindowCache(m)
+    scorer = _WindowCache(m, cand1, cand2)
 
     g1 = np.zeros((T, n1, n2), dtype=np.intp)
     g2 = np.zeros((T, n1, n2), dtype=np.intp)
@@ -425,16 +395,13 @@ def lgo_msbpi(
 
     scored = 0
     sweep_counts: List[int] = []
-    converged = False
     while len(sweep_counts) < max_sweeps:
-        V = _evaluate_table(m, cache, cand1, cand2, g1, g2, k_of, phi)
+        V = scorer.evaluate_table(g1, g2, k_of)
         changed = False
         for k in range(1, T):
             for t in range(T - k + 1):
                 scored += per_layer
-                for i1, i2, _, F in _layer_scores(
-                    m, cache, cand1, cand2, t, k, V, phi, every_pair
-                ):
+                for i1, i2, _, F in scorer.layer_scores(t, k, V, every_pair):
                     mask = F > V[t]
                     if mask.any():
                         changed = True
@@ -444,10 +411,9 @@ def lgo_msbpi(
                         V[t][mask] = F[mask]
         sweep_counts.append((T - 1) * T * per_layer)
         if not changed:
-            converged = True
             break
-    if not converged:
-        V = _evaluate_table(m, cache, cand1, cand2, g1, g2, k_of, phi)
+    else:  # stopped by max_sweeps
+        V = scorer.evaluate_table(g1, g2, k_of)
     return LgoMechanism(
         candidates1=cand1,
         candidates2=cand2,

@@ -263,10 +263,28 @@ def _fmt(x: float) -> str:
 
 
 def serialize_model(m: DecMdpCom) -> str:
-    """Canonical text form of a joint model, stable under reparsing."""
+    """Canonical text form of a joint model, stable under reparsing.  Each
+    name and label must be a token the parser reads back, and no state or
+    action label may repeat in its list (ValueError naming it otherwise)."""
     for attr in ("potential", "extra_reward"):
         if getattr(m, attr) is not None:
             raise ValueError(f"model {m.name!r} has a {attr}, which the text format cannot write")
+    tokens = [("model name", m.name, "#")]
+    for idx, agent in ((1, m.agent1), (2, m.agent2)):
+        tokens.append((f"agent {idx} name", agent.name, "#"))
+        # goal pairs are written as (a,b), so state labels hold no ( ) ,
+        states, actions = agent.state_labels, tuple(map(str, agent.actions))
+        for kind, labels, bad in (("state", states, "#(),"), ("action", actions, "#")):
+            tokens += [(f"agent {idx} {kind} label", lbl, bad) for lbl in labels]
+            for k, lbl in enumerate(labels):
+                if lbl in labels[:k]:
+                    raise ValueError(f"agent {idx} {kind} label {lbl!r} is repeated")
+    for what, tok, bad in tokens:
+        if tok.split() != [tok] or tok == ":" or any(c in tok for c in bad):
+            raise ValueError(
+                f"{what} {tok!r} is not one token: it must not be empty, ':',"
+                f" or hold whitespace or any of {' '.join(bad)}"
+            )
     out = [f"model {m.name}", f"horizon {m.horizon}", f"comm_cost {_fmt(m.comm_cost)}"]
     a1, a2 = m.agent1, m.agent2
     lbl1, lbl2 = a1.state_labels, a2.state_labels

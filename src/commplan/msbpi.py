@@ -29,7 +29,7 @@ from .options import (
     ForwardState,
     PolicyTree,
     _live_next,
-    _Successors,
+    _successors,
     advance,
     joint_f_value,
     state_value,
@@ -123,6 +123,8 @@ def _evaluate_immediate_comm(m: DecMdpCom) -> np.ndarray:
 
     Each step freezes both agents: the state-based reward of staying put,
     plus one exchange charge except for the exchange landing at the horizon.
+    Summed in joint_f_value's order, r + (charge + V[t + 1]), so the table is
+    evaluate_policy's bit for bit.
     """
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
@@ -133,7 +135,7 @@ def _evaluate_immediate_comm(m: DecMdpCom) -> np.ndarray:
     V = np.zeros((T + 1, n1, n2))
     for t in range(T - 1, -1, -1):
         charge = m.comm_cost if t + 1 < T else 0.0
-        V[t] = frozen + charge + V[t + 1]
+        V[t] = frozen + (charge + V[t + 1])
     return V
 
 
@@ -178,8 +180,7 @@ def improve_state(
     counter = node_counter if node_counter is not None else [0]
     best = float(V[t, s.s1, s.s2])
     best_pair = None
-    succ1 = _Successors(m.agent1)
-    succ2 = _Successors(m.agent2)
+    succ1, succ2 = _successors(m.agent1), _successors(m.agent2)
 
     def create(tree1, tree2, depth: int, before: ForwardState, live1, live2) -> SearchNode:
         counter[0] += 1

@@ -51,9 +51,6 @@ class CommPolicy:
     """
 
     times: Dict[int, int]
-    grid_size: int = 0
-    p_u: float = 0.0
-    comm_cost: float = 0.0
 
     def time_for(self, d: int) -> Optional[int]:
         return self.times.get(d)
@@ -139,7 +136,7 @@ def comm_policy_table(
     # row k scores t = k + 1; the entry is one past the earliest better t
     better = value > h[1:] + 1e-12
     times = {d: int(np.argmax(k)) + 2 for d, k in enumerate(better.T, 1) if k.any()}
-    return CommPolicy(times=times, grid_size=grid_size, p_u=p_u, comm_cost=comm_cost)
+    return CommPolicy(times=times)
 
 
 def _distance_laws(r_max: int, p: float, steps: int) -> np.ndarray:

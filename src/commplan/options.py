@@ -71,37 +71,25 @@ class PolicyTree:
         return hash((self.root_state, tuple(sorted(self.assignment.items()))))
 
 
-class _Successors(dict):
-    """(state, action) -> ((next state, probability), ...) over the p > 0
-    entries of one agent's transition row, in index order, filled on first
-    use.
-
-    Made afresh by each public call that walks a model and never cached on
-    the model, so an edited transition array is always read anew.
-    """
-
-    __slots__ = ("_transition",)
-
-    def __init__(self, agent: AgentModel):
-        self._transition = agent.transition
-
-    def __missing__(self, key):
-        row = self._transition[key]
-        nonzero = np.nonzero(row > 0.0)[0]
-        succ = tuple(zip(nonzero.tolist(), row[nonzero].tolist()))
-        self[key] = succ
-        return succ
+def _successors(agent: AgentModel) -> list:
+    """succ[s][a]: ((next state, probability), ...) over the p > 0 entries of
+    the agent's transition row, in index order.  Built by each public call
+    that walks a model, so an edited transition array is read anew."""
+    return [
+        [tuple((q, p) for q, p in enumerate(row) if p > 0.0) for row in rows]
+        for rows in agent.transition.tolist()
+    ]
 
 
 def _live_next(live, tree: PolicyTree, d: int, succ) -> set:
     """The tree's states at depth d + 1 that have not communicated yet,
     reached from ``live``, its such states at depth d.  succ is the
-    agent's _Successors."""
+    agent's _successors."""
     nxt = set()
     for s in live:
         a = tree.action_at(s, d)
         if a is not None and a != COMMUNICATE:
-            nxt.update(q for q, _ in succ[s, a])
+            nxt.update(q for q, _ in succ[s][a])
     return nxt
 
 
@@ -114,7 +102,7 @@ def _forward_level(
     j - 1 and is left untouched.  Returns (term, stopped, nxt): the cells
     whose first exchange fires at step j, the cells that ran out of tree at
     j - 1, and the cells still running after step j.  succ1 and succ2 are
-    the agents' _Successors.
+    the agents' _successors.
     """
     term: Dict[Tuple[int, int], list] = {}
     stopped: Dict[Tuple[int, int], list] = {}
@@ -130,8 +118,8 @@ def _forward_level(
         act1 = a1 if (a1 is not None and not comm1) else None
         act2 = a2 if (a2 is not None and not comm2) else None
         out = term if (comm1 or comm2) else nxt
-        for ns1, p1 in ((s1, 1.0),) if act1 is None else succ1[s1, act1]:
-            for ns2, p2 in ((s2, 1.0),) if act2 is None else succ2[s2, act2]:
+        for ns1, p1 in ((s1, 1.0),) if act1 is None else succ1[s1][act1]:
+            for ns2, p2 in ((s2, 1.0),) if act2 is None else succ2[s2][act2]:
                 p = p1 * p2
                 if p <= 0.0:
                     continue
@@ -189,8 +177,7 @@ def joint_f_value(
     """Exact value of running the tree pair from (s, t) against the value
     table V (indexed V[time, s1, s2]), first exchange wins."""
     depth = min(max(opt1.size, opt2.size), m.horizon - t)
-    succ1 = _Successors(m.agent1)
-    succ2 = _Successors(m.agent2)
+    succ1, succ2 = _successors(m.agent1), _successors(m.agent2)
     state = ForwardState({(s.s1, s.s2): [1.0, 0.0]}, 0.0, ())
     for j in range(1, depth + 1):
         state = advance(state, opt1, opt2, m, t, j, V, succ1, succ2)

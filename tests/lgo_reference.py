@@ -4,10 +4,12 @@ This is the planner as it was before the assignment table became arrays:
 a dict (s1, s2, t) -> GoalAssignment, an evaluator that groups cells by
 assignment key and rebuilds every candidate product from scratch, a final
 evaluation after convergence, and a sorted CSV export.  The matrix window
-kernels (_WindowCache, _phi_matrix) are shared with the library; the
-per-cell window walk (_window_forward) is a frozen copy, independent of the
-library's forward kernel.  What this module pins down is the table bookkeeping, the sweep order and the
-summation order of each candidate score.  Only the result type differs from
+kernels are shared with the library: each planner call builds the library's
+scorer (_WindowCache) and reads its window pieces and its potential (phi);
+the per-cell window walk (_window_forward) is a frozen copy, independent of
+the library's forward kernel.  What this module pins down is the table
+bookkeeping, the sweep order and the summation order of each candidate
+score.  Only the result type differs from
 the original: it is a local ReferenceMechanism, because the library's
 LgoMechanism now holds arrays.  An assignment's key (both labels and the
 window) is read through key(), since GoalAssignment no longer defines one.
@@ -28,7 +30,6 @@ from commplan.lgo import (
     LgoMechanism,
     LocalGoalPolicy,
     _by_label,
-    _phi_matrix,
     _WindowCache,
     default_candidates,
 )
@@ -50,6 +51,15 @@ def key(asg: GoalAssignment) -> Tuple[str, str, int]:
     return (asg.g1.label, asg.g2.label, asg.k)
 
 
+def _candidates(cells) -> Tuple[List[LocalGoalPolicy], List[LocalGoalPolicy]]:
+    """Each agent's distinct policies among the assignments, first seen first.
+    Two different policies under one label are rejected."""
+    return (
+        list(_by_label([a.g1 for a in cells], 1).values()),
+        list(_by_label([a.g2 for a in cells], 2).values()),
+    )
+
+
 def table_mechanism(table: Dict[Tuple[int, int, int], GoalAssignment], m: DecMdpCom) -> LgoMechanism:
     """The library's array form of a dict (s1, s2, t) -> GoalAssignment table
     covering every cell.  Its value table is left NaN; evaluate_lgo fills
@@ -59,8 +69,7 @@ def table_mechanism(table: Dict[Tuple[int, int, int], GoalAssignment], m: DecMdp
     cells = [
         table[(s1, s2, t)] for t in range(T) for s1 in range(n1) for s2 in range(n2)
     ]
-    cand1 = list(_by_label([a.g1 for a in cells], 1).values())
-    cand2 = list(_by_label([a.g2 for a in cells], 2).values())
+    cand1, cand2 = _candidates(cells)
     pos1 = {pol.label: i for i, pol in enumerate(cand1)}
     pos2 = {pol.label: i for i, pol in enumerate(cand2)}
     shape = (T, n1, n2)
@@ -104,14 +113,12 @@ def _window_forward(
 
 
 def _f_matrix(
-    m: DecMdpCom,
-    cache: _WindowCache,
+    scorer: _WindowCache,
     g1: LocalGoalPolicy,
     g2: LocalGoalPolicy,
     t: int,
     k: int,
     V_next: np.ndarray,
-    phi: np.ndarray,
 ) -> np.ndarray:
     """Candidate value of assigning (g1, g2, k) at time t, for every state.
 
@@ -119,23 +126,23 @@ def _f_matrix(
     telescopes through the potential, leaving end-of-window potential minus
     the starting one; the exchange cost lands once; the future value enters
     through the joint k-step propagator."""
-    M1, c1 = cache.pieces(1, g1, t, k)
-    M2, c2 = cache.pieces(2, g2, t, k)
+    M1, c1 = scorer.pieces(1, g1, t, k)
+    M2, c2 = scorer.pieces(2, g2, t, k)
+    phi = scorer.phi
     W = phi + V_next
-    return c1[:, None] + c2[None, :] - phi + m.comm_cost + M1 @ W @ M2.T
+    return c1[:, None] + c2[None, :] - phi + scorer.m.comm_cost + M1 @ W @ M2.T
 
 
 def _evaluate_assignment_table(
     table: Dict[Tuple[int, int, int], GoalAssignment],
     m: DecMdpCom,
-    cache: Optional[_WindowCache] = None,
+    scorer: Optional[_WindowCache] = None,
 ) -> np.ndarray:
     T = m.horizon
     n1, n2 = m.agent1.n_states, m.agent2.n_states
     V = np.zeros((T + 1, n1, n2))
     fast = m.extra_reward is None
-    phi = _phi_matrix(m) if fast else None
-    cache = cache or _WindowCache(m)
+    scorer = scorer or _WindowCache(m, *_candidates(table.values()))
     for t in range(T - 1, -1, -1):
         groups: Dict[tuple, list] = {}
         for s1 in range(n1):
@@ -151,7 +158,7 @@ def _evaluate_assignment_table(
                 group[2].append(s2)
         for asg, idx1, idx2 in groups.values():
             if fast:
-                F = _f_matrix(m, cache, asg.g1, asg.g2, t, asg.k, V[t + asg.k], phi)
+                F = _f_matrix(scorer, asg.g1, asg.g2, t, asg.k, V[t + asg.k])
                 V[t, idx1, idx2] = F[idx1, idx2]
             else:
                 for s1, s2 in zip(idx1, idx2):
@@ -192,8 +199,7 @@ def lgo_msbpi(
     if not cand1 or not cand2:
         raise ValueError("both agents need at least one candidate policy")
     fast = m.extra_reward is None
-    phi = _phi_matrix(m)
-    cache = _WindowCache(m)
+    scorer = _WindowCache(m, cand1, cand2)
 
     table: Dict[Tuple[int, int, int], GoalAssignment] = {}
     init = GoalAssignment(cand1[0], cand2[0], 1)
@@ -206,7 +212,7 @@ def lgo_msbpi(
     sweep_counts: List[int] = []
     sweeps = 0
     while sweeps < max_sweeps:
-        V = _evaluate_assignment_table(table, m, cache)
+        V = _evaluate_assignment_table(table, m, scorer)
         changed = False
         sweep_considered = 0
         for k in range(1, T):
@@ -217,7 +223,7 @@ def lgo_msbpi(
                 for g1 in cand1:
                     for g2 in cand2:
                         if fast:
-                            F = _f_matrix(m, cache, g1, g2, t, k, V[t + k], phi)
+                            F = _f_matrix(scorer, g1, g2, t, k, V[t + k])
                         else:
                             F = np.empty((n1, n2))
                             for s1 in range(n1):
@@ -243,7 +249,7 @@ def lgo_msbpi(
         sweep_counts.append(sweep_considered)
         if not changed:
             break
-    V = _evaluate_assignment_table(table, m, cache)
+    V = _evaluate_assignment_table(table, m, scorer)
     return ReferenceMechanism(
         assignment=table,
         value=V,

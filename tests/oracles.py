@@ -59,9 +59,9 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from commplan.domains import STAY, grid_state, manhattan
-from commplan.lgo import GoalAssignment, _step_matrix
+from commplan.lgo import GoalAssignment, LocalGoalPolicy
 from commplan.model import AgentModel, DecMdpCom, FactoredState
-from commplan.options import COMMUNICATE, PolicyTree, _forward_level, _Successors
+from commplan.options import COMMUNICATE, PolicyTree, _forward_level, _successors
 from commplan.sim import SimResult
 from lgo_reference import _window_forward
 
@@ -323,8 +323,7 @@ def pair_forward(
     other agent's action cost is charged that step.
     """
     depth_cap = min(max(opt1.size, opt2.size), m.horizon - t)
-    succ1 = _Successors(m.agent1)
-    succ2 = _Successors(m.agent2)
+    succ1, succ2 = _successors(m.agent1), _successors(m.agent2)
     term: Dict[int, Dict[Tuple[int, int], list]] = {}
     stopped: Dict[int, Dict[Tuple[int, int], list]] = {}
     alive: Dict[Tuple[int, int], list] = {(s.s1, s.s2): [1.0, 0.0]}
@@ -555,6 +554,11 @@ def joint_rn(
 
 # ---------------------------------------------------------------------------
 # goal-assignment windows
+
+
+def _step_matrix(agent: AgentModel, pol: LocalGoalPolicy, t: int) -> np.ndarray:
+    """The policy's one-step transition matrix at time t."""
+    return agent.transition[np.arange(agent.n_states), pol.actions[pol.row_at(t)]]
 
 
 def png(

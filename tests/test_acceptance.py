@@ -90,9 +90,9 @@ def test_acceptance_1_exchange_time_tables(comm_table_reports, capsys):
     anchors = []
     cheap = comm_policy_table(p_u=0.4, comm_cost=-1.0)
     dear = comm_policy_table(p_u=0.4, comm_cost=-10.0)
-    for pol, d, want in ((cheap, 5, 4), (dear, 5, 9), (dear, 12, 16)):
+    for fee, pol, d, want in ((-1.0, cheap, 5, 4), (-10.0, dear, 5, 9), (-10.0, dear, 12, 16)):
         got = pol.times.get(d, "never")
-        anchors.append((pol.comm_cost, d, want, got, got == want))
+        anchors.append((fee, d, want, got, got == want))
 
     anchor_txt = "; ".join(
         f"(C={c:g}, p=0.4, d={d}) want {w} got {g}" for c, d, w, g, _ in anchors

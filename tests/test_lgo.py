@@ -269,12 +269,13 @@ def window_cases():
 def test_window_pieces_do_not_depend_on_build_order(m, policies):
     # a (t, k) window asked for first must equal one built for k = 1, 2, ...
     T = m.horizon
+    pools = [[pol for i, pol in policies if i == agent_idx] for agent_idx in (1, 2)]
     for agent_idx, pol in policies:
         for t in range(T):
-            in_order = _WindowCache(m)
+            in_order = _WindowCache(m, *pools)
             for k in range(1, T - t + 1):
                 M, c = in_order.pieces(agent_idx, pol, t, k)
-                M_direct, c_direct = _WindowCache(m).pieces(agent_idx, pol, t, k)
+                M_direct, c_direct = _WindowCache(m, *pools).pieces(agent_idx, pol, t, k)
                 assert np.array_equal(M_direct, M), (pol.label, t, k)
                 assert np.array_equal(c_direct, c), (pol.label, t, k)
 
@@ -652,3 +653,19 @@ def test_evaluate_lgo_rejects_two_policies_with_one_label():
     twin[(0, 0, 0)] = GoalAssignment(relabelled(GO_POL, "march"), GO_POL, 1)
     table[(0, 0, 0)] = GoalAssignment(GO_POL, GO_POL, 1)
     np.testing.assert_array_equal(evaluate_table(twin, m), evaluate_table(table, m))
+
+
+def test_evaluate_lgo_checks_the_labels_of_a_mechanism_built_directly():
+    m = toy_model()
+    T = m.horizon
+    first = np.zeros((T, 2, 2), dtype=np.intp)
+    mech = LgoMechanism(
+        candidates1=[GO_POL, relabelled(WAIT_POL, "march")],
+        candidates2=[GO_POL],
+        g1=first,
+        g2=first,
+        k=first + 1,
+        value=np.zeros((T + 1, 2, 2)),
+    )
+    with pytest.raises(ValueError, match="'march'"):
+        evaluate_lgo(mech, m)

@@ -1,5 +1,7 @@
 """Text round-trip for joint models."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,66 @@ def test_models_equal_requires_the_same_reward_objects():
     phi = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert not models_equal(replace(m, potential=phi), m)
     assert models_equal(replace(m, potential=phi), replace(m, potential=phi))
+
+
+def walker_model(states=("s0", "s1"), actions=("go", "stay"), agent="walker", model="pairwalk"):
+    """Two walkers that reach s1 for sure, with the goal pair (s1, s1)."""
+    tr = np.zeros((2, 2, 2))
+    tr[0, 0, 1] = 1.0
+    tr[0, 1, 0] = 1.0
+    tr[1, :, 1] = 1.0
+    walker = AgentModel(
+        n_states=2,
+        actions=actions,
+        transition=tr,
+        action_cost=np.array([-1.0, 0.0]),
+        noop=1,
+        state_labels=states,
+        name=agent,
+    )
+    return DecMdpCom(
+        agent1=walker,
+        agent2=walker,
+        comm_cost=-0.5,
+        horizon=3,
+        initial_state=FactoredState(0, 0),
+        goal=[[False, False], [False, True]],
+        name=model,
+    )
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"states": ("a", "a")}, "'a'"),
+        ({"states": ("a b", "s1")}, "'a b'"),
+        ({"states": ("x#", "s1")}, "'x#'"),
+        ({"states": ("", "s1")}, "''"),
+        ({"states": ("s0", "p,q")}, "'p,q'"),
+        ({"states": ("s0", "(s")}, "'(s'"),
+        ({"states": (":", "s1")}, "':'"),
+        ({"actions": ("go", "go")}, "action label 'go'"),
+        ({"actions": ("go go", "stay")}, "action label 'go go'"),
+        ({"agent": "my agent"}, "agent 1 name 'my agent'"),
+        ({"model": "my model"}, "model name 'my model'"),
+    ],
+    ids=["repeated", "space", "hash", "empty", "comma", "paren", "colon",
+         "repeated-action", "action-space", "agent-name", "model-name"],
+)
+def test_serialize_refuses_tokens_the_parser_would_reject(changes, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        serialize_model(walker_model(**changes))
+
+
+def test_serialize_writes_tokens_the_parser_reads_back():
+    m = walker_model(states=("a:b", "s-1"), actions=("go!", "stay"), agent="(left)")
+    again = parse_model(serialize_model(m))
+    assert models_equal(m, again)
+
+
+def test_readme_model_round_trips_byte_for_byte():
+    from test_cli import readme_model
+
+    text = serialize_model(parse_model(readme_model()))
+    assert serialize_model(parse_model(text)) == text
+    assert models_equal(parse_model(readme_model()), parse_model(text))

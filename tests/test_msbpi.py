@@ -20,6 +20,7 @@ from commplan.msbpi import (
     DEFAULT_NODE_BUDGET,
     GeneralMechanism,
     NodeBudgetExceeded,
+    _evaluate_immediate_comm,
     evaluate_policy,
     immediate_comm_pairs,
     improve_state,
@@ -218,6 +219,31 @@ def test_evaluate_immediate_comm_closed_form():
     for t in range(m.horizon + 1):
         want = -0.4 * max(m.horizon - t - 1, 0)
         np.testing.assert_allclose(V[t], want, atol=1e-12)
+
+
+def test_starting_value_is_the_value_of_its_own_mechanism():
+    # the closed-form starting table must add its terms in joint_f_value's
+    # order, so it is bit for bit the always-communicate pairs' value, and a
+    # run that updates nothing returns the value of its own mechanism
+    rng = np.random.default_rng(1)
+    quiet = 0
+    for _ in range(100):
+        m = toy_model(
+            p1=rng.uniform(0.05, 1.0),
+            p2=rng.uniform(0.05, 1.0),
+            comm_cost=-rng.uniform(0.0, 0.3),
+            horizon=int(rng.integers(2, 8)),
+            bonus=rng.uniform(0.0, 1.0),
+            cost_go=-rng.uniform(0.5, 2.0),
+            cost_wait=-rng.uniform(0.3, 1.0),
+        )
+        start = _evaluate_immediate_comm(m)
+        assert np.array_equal(start, evaluate_policy(immediate_comm_pairs(m), m))
+        mech = msbpi(m)
+        if mech.iterations == 0:
+            quiet += 1
+            assert np.array_equal(mech.value, evaluate_policy(mech, m))
+    assert quiet >= 50
 
 
 def test_evaluate_policy_accepts_mechanism_or_dict():

@@ -20,7 +20,7 @@ from commplan.options import (
     COMMUNICATE,
     PolicyTree,
     _live_next,
-    _Successors,
+    _successors,
     joint_f_value,
 )
 
@@ -506,7 +506,7 @@ def test_joint_f_value_is_the_root_walk(seeds, sizes, params, p):
 def test_live_next_folds_to_live_levels(seed, size, kind, root, p):
     agent = chain_agent(p=p)
     tree = tree_of_kind(kind, seed, agent, size, root)
-    succ = _Successors(agent)
+    succ = _successors(agent)
     levels = [{tree.root_state}]
     for d in range(tree.size):
         levels.append(_live_next(levels[-1], tree, d, succ))
