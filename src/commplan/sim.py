@@ -29,9 +29,9 @@ exchanges take no time.
 Draws, which fix every result: agent 1 before agent 2 within a step; a
 walker draws one uniform per move it tries (none for stay, none once met),
 a machine one per step, a policy-tree agent one successor per domain action
-(none for a communicate act), as bisect_right(cdf_row, uniform) on the
-normalised cumulative row, which is what Generator.choice(n, p=row) does
-with the same uniform.
+(none for a communicate act), as the count of the normalised cumulative
+row's entries <= uniform, which is what bisect_right(cdf_row, uniform) and
+Generator.choice(n, p=row) return for the same uniform.
 
 Batched stepping.  An episode draws at most `width` uniforms: 2 *
 horizon_cap on the meeting grid, 2 * T in production and on policy trees.
@@ -41,7 +41,7 @@ most SLICE_BYTES, one row per episode, and keeps only each draw's code, what
 the engine reads of it: a meeting draw is one uint8 (bit 0 is u < p1, bit 1
 u < p2; the cursor decides which agent reads it), a production draw one
 bool (u < p_m1 in even columns, u < p_m2 in odd ones), and a policy-tree
-draw the uniform itself, which bisect_right needs.  The batch runs a slice
+draw the uniform itself, which the count needs.  The batch runs a slice
 of `rows` episodes at a time from a C-ordered (rows, width) code array of
 at most SLICE_BYTES, reusing both arrays, so memory does not grow with the
 batch: 655 meeting episodes a slice at the default cap of 200 steps, 13,107
@@ -52,9 +52,8 @@ child, and PCG64 is seeded from each child's four words.  The hash
 constants evolve the same way whatever the data, so every lane does what
 numpy does for that child, and the streams are the ones spawn(episodes)
 gives.  Each episode reads its row of codes through a cursor that advances
-only where a draw is listed above.  Meeting and production episodes of a
-slice step together in numpy; policy-tree episodes walk their trees one at
-a time.
+only where a draw is listed above.  The episodes of a slice step together
+in numpy; policy-tree episodes all run exactly T steps, so they share t.
 
 The meeting walk needs no positions.  Between exchanges each walker follows
 a shortest path to the midpoint, which lies on a shortest path between the
@@ -72,7 +71,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -377,12 +375,54 @@ def _action_table(candidates, T: int) -> np.ndarray:
     return np.stack([pol.actions[pol.row_at(np.arange(T))] for pol in candidates])
 
 
-def _cdf_rows(agent: AgentModel) -> list:
-    """cdf[s][a]: the normalised cumulative transition row, as
-    Generator.choice builds it."""
+def _cdf_rows(agent: AgentModel) -> np.ndarray:
+    """cdf[s, a]: the normalised cumulative transition row, as
+    Generator.choice builds it.  With uniform u, choice returns the count of
+    the row's entries <= u, which is bisect_right(row, u)."""
     cdf = agent.transition.cumsum(axis=2)
     cdf /= cdf[:, :, -1:]
-    return cdf.tolist()
+    return cdf
+
+
+# Sentinels of the compiled trees: NO_ACTION in act, where a tree has no
+# action at a (state, depth), apart from COMMUNICATE; NO_PAIR in pair, a
+# cell without a tree pair.
+NO_ACTION = -2
+NO_PAIR = -1
+
+
+def _compile_trees(model: DecMdpCom, mech: GeneralMechanism):
+    """pair[agent, cell], the tree ids of each cell (s1 * n2 + s2) * T + t
+    (NO_PAIR where the mechanism has none), and per agent act[tree, depth,
+    state], the tree's action (NO_ACTION where it has none).  A tree action
+    that is neither COMMUNICATE nor one of the agent's actions is rejected."""
+    agents = (model.agent1, model.agent2)
+    n1, n2, T = model.agent1.n_states, model.agent2.n_states, model.horizon
+    pair = np.full((2, n1, n2, T), NO_PAIR, dtype=np.int64)
+    trees: Tuple[dict, dict] = ({}, {})  # id(tree) -> (tree id, tree)
+    for (s1, s2, t), both in mech.pairs.items():
+        if 0 <= s1 < n1 and 0 <= s2 < n2 and 0 <= t < T:
+            for i, tree in enumerate(both):
+                found = trees[i].setdefault(id(tree), (len(trees[i]), tree))
+                pair[i, s1, s2, t] = found[0]
+    acts = []
+    for i, (agent, found) in enumerate(zip(agents, trees)):
+        act = np.full((len(found), T, agent.n_states), NO_ACTION, dtype=np.int64)
+        k, d, s, a = np.array(
+            [(k, d, s, a) for k, tree in found.values() for (s, d), a in tree.assignment.items()],
+            dtype=np.int64,
+        ).reshape(-1, 4).T
+        keep = (0 <= s) & (s < agent.n_states) & (0 <= d) & (d < T)
+        bad = np.flatnonzero(keep & ((a < COMMUNICATE) | (a >= agent.n_actions)))
+        if len(bad):
+            j = bad[0]
+            raise ValueError(
+                f"agent {i + 1}'s tree has action {a[j]} in state {s[j]} at depth "
+                f"{d[j]}, out of range for {agent.n_actions} actions"
+            )
+        act[k[keep], d[keep], s[keep]] = a[keep]
+        acts.append(act)
+    return pair.reshape(2, -1), acts
 
 
 def _trees(model: DecMdpCom, mech: GeneralMechanism):
@@ -394,43 +434,88 @@ def _trees(model: DecMdpCom, mech: GeneralMechanism):
     the exchange then reveals the joint state and a fresh pair is looked up.
     An exchange landing exactly on the horizon is not charged (nothing is
     left to replan).  The model is checked first, so a transition row edited
-    after planning is reported, not sampled.
+    after planning is reported, not sampled.  A cell an episode reaches
+    without a tree pair, and a tree that runs out of actions before it
+    exchanges, are rejected with a ValueError; the forward kernel
+    (options._forward_level) instead reads a pair that ran out of tree as a
+    free synchronisation.
+
+    The mechanism's trees are compiled into action arrays on each call, so
+    a mechanism edited between batches is read anew.  Every episode runs
+    exactly T steps, so the episodes of a slice step together, sharing t.
+    step_reward is called once per distinct (s1, s2, a1, a2, s1', s2') of
+    the call and its floats added in the order of the one-episode walk, so
+    each episode's utility is the same float.
     """
     require_valid(model)
     cdf1, cdf2 = _cdf_rows(model.agent1), _cdf_rows(model.agent2)
-    T = model.horizon
+    pair, (act1, act2) = _compile_trees(model, mech)
+    n1, n2, T = model.agent1.n_states, model.agent2.n_states, model.horizon
+    A1, A2 = model.agent1.n_actions, model.agent2.n_actions
+    start = model.initial_state
+    # a step's key indexes this shape; action A1 (A2) codes a communicate
+    dims = (n1, n2, A1 + 1, A2 + 1, n1, n2)
+    rewards = {}
 
-    def episode(draws):
-        draw = iter(draws).__next__
-        s1, s2 = model.initial_state.s1, model.initial_state.s2
-        utility, comm, t = 0.0, 0, 0
-        while t < T:
-            tree1, tree2 = mech.pairs[s1, s2, t]
-            depth = 0
-            while t < T:
-                a1 = tree1.action_at(s1, depth)
-                a2 = tree2.action_at(s2, depth)
-                comm1 = a1 == COMMUNICATE
-                comm2 = a2 == COMMUNICATE
-                n1 = s1 if comm1 else bisect_right(cdf1[s1][a1], draw())
-                n2 = s2 if comm2 else bisect_right(cdf2[s2][a2], draw())
-                utility += model.step_reward(
-                    s1, s2, None if comm1 else a1, None if comm2 else a2, n1, n2
-                )
-                s1, s2 = n1, n2
-                t += 1
-                depth += 1
-                if comm1 or comm2:
-                    comm += 1
-                    if t < T:
-                        utility += model.comm_cost
-                    break
-        return utility, t, comm
+    def reward(key: int) -> float:
+        if key not in rewards:
+            s1, s2, a1, a2, q1, q2 = map(int, np.unravel_index(key, dims))
+            rewards[key] = model.step_reward(
+                s1, s2, None if a1 == A1 else a1, None if a2 == A2 else a2, q1, q2
+            )
+        return rewards[key]
+
+    def require_actions(agent: int, a, s, cell, t: int) -> None:
+        if (a == NO_ACTION).any():
+            i = np.flatnonzero(a == NO_ACTION)[0]
+            c1, c2, c = np.unravel_index(cell[i], (n1, n2, T))
+            raise ValueError(
+                f"agent {agent}'s tree of the pair at cell (s1, s2, t) = "
+                f"({c1}, {c2}, {c}) has no action in state {s[i]} at depth "
+                f"{t - c}; a tree must exchange or reach the horizon"
+            )
 
     def run(U: np.ndarray):
-        runs = [episode(row.tolist()) for row in U]
-        utility, steps, comm = (np.array(col) for col in zip(*runs))
-        return utility, steps, comm, np.zeros(len(U), dtype=bool)
+        n, width = U.shape
+        draws = U.reshape(-1)
+        s1, s2 = np.full(n, start.s1), np.full(n, start.s2)
+        # flat (s1, s2, t) index of the cell whose pair each episode runs
+        cell = np.zeros(n, dtype=np.int64)
+        cur = np.arange(n) * width
+        utility = np.zeros(n)
+        comm = np.zeros(n, dtype=np.int64)
+        new = np.ones(n, dtype=bool)
+        for t in range(T):
+            if new.any():
+                cell[new] = (s1[new] * n2 + s2[new]) * T + t
+                if (pair[0, cell[new]] == NO_PAIR).any():
+                    i = np.flatnonzero(new & (pair[0, cell] == NO_PAIR))[0]
+                    raise ValueError(
+                        "the mechanism has no tree pair for cell (s1, s2, t) = "
+                        f"({s1[i]}, {s2[i]}, {t})"
+                    )
+            depth = t - cell % T
+            a1 = act1[pair[0, cell], depth, s1]
+            a2 = act2[pair[1, cell], depth, s2]
+            require_actions(1, a1, s1, cell, t)
+            require_actions(2, a2, s2, cell, t)
+            comm1, comm2 = a1 == COMMUNICATE, a2 == COMMUNICATE
+            # a communicating agent's row (action -1) is read and discarded
+            q1 = np.where(comm1, s1, (cdf1[s1, a1] <= draws[cur, None]).sum(axis=1))
+            cur += ~comm1
+            q2 = np.where(comm2, s2, (cdf2[s2, a2] <= draws[cur, None]).sum(axis=1))
+            cur += ~comm2
+            key = np.ravel_multi_index(
+                (s1, s2, np.where(comm1, A1, a1), np.where(comm2, A2, a2), q1, q2), dims
+            )
+            keys, inverse = np.unique(key, return_inverse=True)
+            utility += np.array([reward(k) for k in keys.tolist()])[inverse]
+            s1, s2 = q1, q2
+            new = comm1 | comm2
+            comm += new
+            if t + 1 < T:
+                utility[new] += model.comm_cost
+        return utility, np.full(n, T), comm, np.zeros(n, dtype=bool)
 
     return 2 * T, lambda U: U, run
 

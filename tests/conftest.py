@@ -3,7 +3,9 @@
 The chain agent is the smallest interesting local process: two states, a
 risky move and a cheap wait.  Toy joint models pair two chain agents with a
 per-step bonus for both sitting at state 1, which makes communication
-genuinely useful at the right prices.
+genuinely useful at the right prices.  Random models pair two agents of
+2-3 states, a free stay and a costly random move, with a random potential.
+exchange_at_once builds the tree-pair mechanism that exchanges at once.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from commplan.model import AgentModel, DecMdpCom, FactoredState
+from commplan.msbpi import GeneralMechanism, evaluate_policy, immediate_comm_pairs
 
 settings.register_profile(
     "suite",
@@ -92,6 +95,46 @@ TOY_GRID = [
     dict(p1=0.7, p2=0.3, comm_cost=0.0, horizon=2, bonus=3.0),
     dict(p1=1.0, p2=1.0, comm_cost=-0.4, horizon=2, bonus=1.5),
 ]
+
+
+def random_agent(draw, name):
+    """2-3 states; action 0 stays at no cost, action 1 moves along a random
+    row whose entries below 0.2 are cut before it is renormalised."""
+    n = int(draw.integers(2, 4))
+    go = draw.random((n, n))
+    go[go < 0.2] = 0.0
+    go[go.sum(axis=1) == 0.0, 0] = 1.0
+    go /= go.sum(axis=1, keepdims=True)
+    return AgentModel(
+        n_states=n,
+        actions=("stay", "go"),
+        transition=np.stack([np.eye(n), go], axis=1),
+        goal_candidates=tuple(range(n)),
+        action_cost=np.array([0.0, -draw.random()]),
+        noop=0,
+        name=name,
+    )
+
+
+def random_model(seed):
+    draw = np.random.default_rng(seed)
+    agent1, agent2 = random_agent(draw, "one"), random_agent(draw, "two")
+    return DecMdpCom(
+        agent1=agent1,
+        agent2=agent2,
+        comm_cost=-draw.random(),
+        horizon=int(draw.integers(2, 4)),
+        initial_state=FactoredState(0, 0),
+        potential=draw.normal(size=(agent1.n_states, agent2.n_states)),
+    )
+
+
+def exchange_at_once(m):
+    """The immediate-exchange mechanism: both agents communicate at once in
+    every cell, so an episode stays in its start state and reaches every
+    (s1, s2, t) with that state."""
+    pairs = immediate_comm_pairs(m)
+    return GeneralMechanism(pairs=pairs, value=evaluate_policy(pairs, m))
 
 
 @pytest.fixture(scope="session")

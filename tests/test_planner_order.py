@@ -16,43 +16,12 @@ import pytest
 
 from commplan.domains import solve_joint_mmdp
 from commplan.lgo import LocalGoalPolicy, default_candidates, evaluate_lgo, lgo_msbpi
-from commplan.model import AgentModel, DecMdpCom, FactoredState
 from commplan.msbpi import evaluate_policy, msbpi
 from commplan.sim import SimConfig, monte_carlo
 
+from conftest import random_model
+
 SEEDS = range(30)
-
-
-def random_agent(draw, name):
-    """2-3 states; action 0 stays at no cost, action 1 moves along a random
-    row whose entries below 0.2 are cut before it is renormalised."""
-    n = int(draw.integers(2, 4))
-    go = draw.random((n, n))
-    go[go < 0.2] = 0.0
-    go[go.sum(axis=1) == 0.0, 0] = 1.0
-    go /= go.sum(axis=1, keepdims=True)
-    return AgentModel(
-        n_states=n,
-        actions=("stay", "go"),
-        transition=np.stack([np.eye(n), go], axis=1),
-        goal_candidates=tuple(range(n)),
-        action_cost=np.array([0.0, -draw.random()]),
-        noop=0,
-        name=name,
-    )
-
-
-def random_model(seed):
-    draw = np.random.default_rng(seed)
-    agent1, agent2 = random_agent(draw, "one"), random_agent(draw, "two")
-    return DecMdpCom(
-        agent1=agent1,
-        agent2=agent2,
-        comm_cost=-draw.random(),
-        horizon=int(draw.integers(2, 4)),
-        initial_state=FactoredState(0, 0),
-        potential=draw.normal(size=(agent1.n_states, agent2.n_states)),
-    )
 
 
 # random rows may strand states away from a goal; solve_local_mdp warns then

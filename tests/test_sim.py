@@ -27,9 +27,10 @@ from commplan.domains import (
 )
 from commplan.lgo import lgo_msbpi
 from commplan.model import FactoredState
-from commplan.msbpi import msbpi
+from commplan.msbpi import immediate_comm_pairs, msbpi
 from commplan import tables
 from commplan.myopic import comm_policy_table
+from commplan.options import COMMUNICATE, PolicyTree
 from commplan.sim import (
     SimConfig,
     SimResult,
@@ -40,7 +41,7 @@ from commplan.sim import (
 
 import commplan.sim as sim
 import sim_reference as ref
-from conftest import toy_model
+from conftest import exchange_at_once, toy_model
 from oracles import step_toward, welch_ttest
 
 
@@ -111,6 +112,15 @@ def test_a_draw_equal_to_the_success_chance_fails_as_in_the_reference():
             assert repr(got) == repr((want, steps, comm, traj["capped"])), (strategy, u)
 
 
+def test_a_draw_equal_to_a_cdf_entry_takes_the_next_state():
+    # agent 1's go row from state 0 is [0.6, 0.4], so its cdf is [0.6, 1.0];
+    # Generator.choice (searchsorted, side="right") moves on u == 0.6
+    m = toy_model(p1=0.4, p2=0.7, horizon=4)
+    mech = msbpi(m)
+    below, at, above = (run_episode(m, mech, _Uniforms(u)) for u in (0.59, 0.6, 0.61))
+    assert at == above != below
+
+
 def test_deterministic_meeting_walk():
     dom = build_meeting(GridConfig(width=3, height=3, p1=1.0, p2=1.0,
                                    start1=(0, 0), start2=(2, 2)))
@@ -177,6 +187,71 @@ def test_tree_pair_path_rejects_rows_edited_after_planning(row, problem):
         monte_carlo(SimConfig(domain=m, strategy=mech, episodes=5))
     with pytest.raises(ValueError, match="left: " + problem):
         run_episode(m, mech, _rng())
+
+
+def _rejects(m, mech, match):
+    with pytest.raises(ValueError, match=match):
+        monte_carlo(SimConfig(domain=m, strategy=mech, episodes=5))
+    with pytest.raises(ValueError, match=match):
+        run_episode(m, mech, _rng())
+
+
+def test_a_reached_cell_without_a_tree_pair_is_rejected():
+    m = toy_model(horizon=4)
+    mech = msbpi(m)
+    del mech.pairs[0, 0, 0]
+    _rejects(m, mech, r"no tree pair for cell \(s1, s2, t\) = \(0, 0, 0\)$")
+    m = toy_model(horizon=3)
+    mech = exchange_at_once(m)
+    del mech.pairs[0, 0, 2]
+    _rejects(m, mech, r"no tree pair for cell \(s1, s2, t\) = \(0, 0, 2\)$")
+    # a cell no episode reaches may be missing
+    del mech.pairs[1, 1, 2]
+    mech.pairs[0, 0, 2] = immediate_comm_pairs(m)[0, 0, 2]
+    assert monte_carlo(SimConfig(domain=m, strategy=mech, episodes=5)).mean_comm == 3
+
+
+def test_a_root_tree_cut_to_depth_zero_is_rejected():
+    m = toy_model(horizon=4)
+    mech = msbpi(m)
+    tree1, tree2 = mech.pairs[0, 0, 0]
+    mech.pairs[0, 0, 0] = PolicyTree(0, {}), tree2
+    _rejects(m, mech, r"agent 1's tree of the pair at cell \(s1, s2, t\) = \(0, 0, 0\) "
+                      r"has no action in state 0 at depth 0")
+    mech.pairs[0, 0, 0] = tree1, PolicyTree(0, {})
+    _rejects(m, mech, r"agent 2's tree .* = \(0, 0, 0\) has no action in state 0 at depth 0")
+
+
+def test_a_tree_that_runs_out_before_it_exchanges_is_rejected():
+    m = toy_model(horizon=3)
+    mech = exchange_at_once(m)
+    # agent 1 waits (and stays in state 0) at time 1, then has no action
+    wait = m.agent1.actions.index("wait")
+    mech.pairs[0, 0, 1] = (PolicyTree(0, {(0, 0): wait}),
+                           PolicyTree(0, {(0, 0): wait, (0, 1): COMMUNICATE}))
+    _rejects(m, mech, r"agent 1's tree of the pair at cell \(s1, s2, t\) = \(0, 0, 1\) "
+                      r"has no action in state 0 at depth 1")
+
+
+@pytest.mark.parametrize("action", [2, -2, -3])
+def test_a_tree_action_out_of_range_is_rejected(action):
+    m = toy_model(horizon=3)
+    mech = exchange_at_once(m)
+    # rejected although no episode reaches cell (1, 0, 2)
+    mech.pairs[1, 0, 2] = PolicyTree(1, {(1, 0): action}), mech.pairs[1, 0, 2][1]
+    _rejects(m, mech, f"agent 1's tree has action {action} in state 1 at depth 0, "
+                      "out of range for 2 actions")
+
+
+def test_step_reward_is_called_once_per_distinct_step():
+    m = toy_model(horizon=4)
+    mech = msbpi(m)
+    calls = []
+    step_reward = m.step_reward
+    m.step_reward = lambda *step: calls.append(step) or step_reward(*step)
+    monte_carlo(SimConfig(domain=m, strategy=mech, episodes=3000, seed=1))
+    steps = calls[1:]  # after validate's probe at the initial state
+    assert 0 < len(steps) == len(set(steps)) < 100
 
 
 def test_same_seed_reproduces_batch_exactly():

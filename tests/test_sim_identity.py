@@ -8,9 +8,12 @@ grids (caps 1, 6 and 12, where a sub-goal exchange lands on the capping
 step); on 1,000-episode batches at success rate 0.2, whose long walks run
 many slices deep; for the production full-information and goal-window
 strategies, goal windows on candidates with several action rows included;
-and for tree-pair mechanisms on the toy models.  Batches of one episode,
-slices of one and seven episodes, and run_episode on the caller's
-generator must give the same episodes too.
+and for tree-pair mechanisms: the planned ones on the toy models and on 30
+random models of 2-3 states with a potential, the immediate-exchange
+pairs, a mechanism edited between two batches, and a toy batch one episode
+past its first slice.  Batches of one episode, slices of one and seven
+episodes, and run_episode on the caller's generator must give the same
+episodes too.
 
 monte_carlo hashes the children's PCG64 seed words itself, a slice at a
 time (sim._child_words); those words must be numpy's, for seeds of one to
@@ -38,12 +41,12 @@ from commplan.domains import (
     build_production,
 )
 from commplan.lgo import LgoMechanism, LocalGoalPolicy, lgo_msbpi
-from commplan.msbpi import msbpi
+from commplan.msbpi import immediate_comm_pairs, msbpi
 from commplan.myopic import comm_policy_table
 from commplan.sim import SimConfig, monte_carlo, run_episode
 from commplan.tables import MEETING_P
 
-from conftest import TOY_GRID, toy_model
+from conftest import TOY_GRID, exchange_at_once, random_model, toy_model
 
 EPISODES = 40
 FEES = (-0.1, -1.0, -10.0)
@@ -110,6 +113,36 @@ def test_production_strategies_match_reference(p1, p2):
 def test_tree_pair_mechanism_matches_reference(params):
     model = toy_model(**params)
     assert_identical(model, msbpi(model), episodes=300)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_tree_pairs_on_random_models_match_reference(seed):
+    model = random_model(seed)
+    assert_identical(model, msbpi(model), episodes=300)
+
+
+@pytest.mark.parametrize("model", [random_model(7), toy_model()], ids=["random7", "toy"])
+def test_immediate_exchange_pairs_match_reference(model):
+    assert_identical(model, exchange_at_once(model), episodes=100)
+
+
+def test_toy_batch_past_its_first_slice_matches_reference():
+    model = toy_model(horizon=7)
+    mech = msbpi(model)
+    rows = sim.SLICE_BYTES // slice_bytes(model, mech, 1)
+    assert rows == 2340
+    assert_identical(model, mech, episodes=rows + 1)
+
+
+def test_a_mechanism_edited_between_batches_is_read_anew():
+    model = toy_model(horizon=4)
+    mech = msbpi(model)
+    first = assert_identical(model, mech, episodes=200)
+    # the root cell exchanges at once from now on
+    s0 = model.initial_state
+    mech.pairs[s0.s1, s0.s2, 0] = immediate_comm_pairs(model)[s0.s1, s0.s2, 0]
+    second = assert_identical(model, mech, episodes=200)
+    assert first != second
 
 
 @pytest.mark.parametrize("cap", [200, 80])
